@@ -145,7 +145,7 @@ def tail_bound(value: ExponentValue, n: int, two_sided: bool = True) -> float:
     return min(1.0, prefactor * math.exp(-n * value.exponent))
 
 
-def _divergence_exponent(gamma: float, delta: float) -> float:
+def divergence_exponent(gamma: float, delta: float) -> float:
     """D((delta+gamma)/(1+gamma) || gamma/(1+gamma)); +inf for delta > 1."""
     if delta > 1.0:
         return math.inf
@@ -175,7 +175,7 @@ def thm2_exponent(spec: MartingaleSpec, alpha: float) -> ExponentValue:
     """Bennett-route divergence exponent D((delta+gamma)/(1+gamma)||gamma/(1+gamma))."""
     gamma, delta = spec.gamma, spec.delta(alpha)
     return ExponentValue(
-        _divergence_exponent(gamma, delta), "thm2", {"gamma": gamma, "delta": delta}
+        divergence_exponent(gamma, delta), "thm2", {"gamma": gamma, "delta": delta}
     )
 
 
@@ -404,7 +404,7 @@ def compare_e2_e4(
     """
     if abs(gamma - profile.gamma2) > 1e-12:
         raise ValueError("gamma must equal the profile's gamma_2")
-    e2 = _divergence_exponent(gamma, delta)
+    e2 = divergence_exponent(gamma, delta)
     e4 = thm4_exponent(profile, delta).exponent
     if delta > 0.0 and delta <= 1.0:
         _, tilde = cor6_suboptimal(profile, delta)
@@ -490,7 +490,7 @@ def mdp_exponent_check(
         if n < 1:
             raise ValueError("n must be >= 1")
         delta_n = alpha * n ** (eta - 1.0) / d
-        div = _divergence_exponent(gamma, delta_n)
+        div = divergence_exponent(gamma, delta_n)
         scale = float(n) ** (1.0 - 2.0 * eta)
         rows.append(
             MdpRow(

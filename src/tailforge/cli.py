@@ -276,8 +276,10 @@ def cmd_hypothesis(args) -> int:
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        # mdp_bound is a probability: formatted here so --units never scales it
+        bound = _fmt(min(1.0, md.bound), args.precision)
         rows += [
-            {"quantity": "mdp_bound", "value": min(1.0, md.bound)},
+            {"quantity": "mdp_bound", "value": bound},
             {"quantity": "mdp_asymptotic_slope", "value": md.asymptotic_slope},
         ]
     _emit(

@@ -16,9 +16,10 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import bounds
-from .bounds import MartingaleSpec, MomentProfile
+from .bounds import MartingaleSpec, MomentProfile, divergence_exponent
+from .hyptest import LlrMartingale
 from .pmf import FinitePmf
-from .specfun import binary_divergence, f_delta
+from .specfun import f_delta
 
 _SYM_TOL = 1e-12
 
@@ -124,20 +125,6 @@ class PairwiseBound:
         return self.base**h
 
 
-def _channel_stats(channel: DmcChannel):
-    """(llr0, D, d, delta): log-LR under input 0, its mean, jump bound, ratio.
-
-    Identical rows degenerate to d = 0 (the pairwise martingale never
-    moves); delta is reported as 0 there and all bases collapse to 1.
-    """
-    p0 = channel.p0.as_array()
-    p1 = channel.p1.as_array()
-    llr0 = np.log(p0 / p1)
-    div = float(np.dot(p0, llr0))
-    d = float(np.max(np.abs(-llr0))) + div
-    return llr0, div, d, (div / d if d > 0.0 else 0.0)
-
-
 def bhattacharyya(channel: DmcChannel) -> PairwiseBound:
     """Z_B = sum_y sqrt(P(y|0) P(y|1))."""
     zb = float(np.sum(np.sqrt(channel.p0.as_array() * channel.p1.as_array())))
@@ -147,39 +134,36 @@ def bhattacharyya(channel: DmcChannel) -> PairwiseBound:
 def z1(channel: DmcChannel) -> PairwiseBound:
     """Divergence-route base Z1 = exp(-D((delta+gamma)/(1+gamma)||gamma/(1+gamma))).
 
-    Uses the jump bound d = max_y |ln(P(y|1)/P(y|0))| + D and conditional
-    variance sigma^2 = E0[ln^2(P(y|1)/P(y|0))] - D^2 of the pairwise-error
-    martingale; equals Z_B exactly on the BSC.
+    gamma and delta are those of ``channel_moment_profile(channel, 2)``:
+    the pairwise-error martingale's conditional variance over d^2 and D/d,
+    with jump bound d = max_y |llr(y) - D|. Equals Z_B exactly on the BSC.
     """
-    p0 = channel.p0.as_array()
-    llr0, div, d, delta = _channel_stats(channel)
-    if d == 0.0:
-        return PairwiseBound(base=1.0, method="z1")
-    sigma2 = float(np.dot(p0, llr0**2)) - div * div
-    gamma = sigma2 / d**2
-    e = binary_divergence((delta + gamma) / (1.0 + gamma), gamma / (1.0 + gamma))
-    return PairwiseBound(base=math.exp(-e), method="z1")
+    profile, delta = channel_moment_profile(channel, 2)
+    return PairwiseBound(
+        base=math.exp(-divergence_exponent(profile.gamma2, delta)), method="z1"
+    )
 
 
 def channel_moment_profile(channel: DmcChannel, m: int):
     """One-sided moment profile of the pairwise-error martingale jumps.
 
-    gamma_l = max{0, (-1)^l E0[(ln(P(Y|0)/P(Y|1)) - D)^l]} / d^l for
-    l = 2..m (odd moments are truncated at zero; even ones never need it).
-    Returns (MomentProfile, delta); gamma_2 equals z1's gamma.
+    That martingale is hyptest's LlrMartingale of P(.|0) against P(.|1):
+    llr = ln(P(y|0)/P(y|1)), D its mean, d = max_y |llr - D|. Output
+    symmetry pairs each llr value with its negative, so d equals the
+    paper's max_y |ln(P(y|1)/P(y|0))| + D. gamma_l = max{0, (-1)^l
+    E0[(llr - D)^l]} / d^l for l = 2..m (odd moments are truncated at
+    zero; even ones never need it). Returns (MomentProfile, D/d); both
+    are 0 for identical rows (d = 0), where every base collapses to 1.
     """
     if m < 2 or m % 2 != 0:
         raise ValueError("m must be an even integer >= 2")
-    p0 = channel.p0.as_array()
-    llr0, div, d, delta = _channel_stats(channel)
-    if d == 0.0:
+    mart = LlrMartingale.of(channel.p0, channel.p1)
+    if mart.d == 0.0:
         return MomentProfile((0.0,) * (m - 1)), 0.0
-    centered = llr0 - div
-    gammas = []
-    for l in range(2, m + 1):
-        mu = (-1.0) ** l * float(np.dot(p0, centered**l))
-        gammas.append(max(0.0, mu) / d**l)
-    return MomentProfile(tuple(gammas)), delta
+    gammas = tuple(
+        max(0.0, (-1.0) ** l * mart.moment(l)) / mart.d**l for l in range(2, m + 1)
+    )
+    return MomentProfile(gammas), mart.D / mart.d
 
 
 def z2m(channel: DmcChannel, m: int) -> PairwiseBound:

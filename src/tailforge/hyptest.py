@@ -11,25 +11,57 @@ declared. Exponents are reported in nats per symbol and are prior-free
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from ._optim import golden_max, golden_min
-from .bounds import _divergence_exponent
+from .bounds import divergence_exponent
 from .pmf import FinitePmf
 
 _EDGE_TOL = 1e-12
 
 
+@dataclass(frozen=True, eq=False)
+class LlrMartingale:
+    """Doob martingale of ln(P(X)/Q(X)), revealed one sample at a time under P.
+
+    llr = ln(P/Q) per symbol, D = E_P[llr] = D(P||Q) in nats and the jump
+    bound d = max |llr - D|. A DMC's pairwise-error martingale is this
+    record at P = P(.|0), Q = P(.|1) and a zero threshold.
+    """
+
+    probs: np.ndarray
+    llr: np.ndarray
+    D: float
+    d: float
+
+    @classmethod
+    def of(cls, p: FinitePmf, q: FinitePmf) -> "LlrMartingale":
+        probs = p.as_array()
+        llr = np.log(probs / q.as_array())
+        llr.flags.writeable = False
+        div = float(np.dot(probs, llr))
+        return cls(probs, llr, div, float(np.max(np.abs(llr - div))))
+
+    def moment(self, l: int) -> float:
+        """Centred moment E_P[(llr - D)^l]."""
+        return float(np.dot(self.probs, (self.llr - self.D) ** l))
+
+
 @dataclass(frozen=True)
 class HypothesisPair:
-    """A pair of strictly positive pmfs on one alphabet, with priors."""
+    """A pair of strictly positive pmfs on one alphabet, with priors.
+
+    ``mart12`` is the log-LR martingale of P1 against P2, ``mart21`` the reverse.
+    """
 
     p1: FinitePmf
     p2: FinitePmf
     priors: tuple[float, float] = (0.5, 0.5)
+    mart12: LlrMartingale = field(init=False, repr=False, compare=False)
+    mart21: LlrMartingale = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.p1.require_same_alphabet(self.p2)
@@ -40,6 +72,8 @@ class HypothesisPair:
             raise ValueError("priors must lie in (0, 1)")
         if abs(pi1 + pi2 - 1.0) > 1e-9:
             raise ValueError("priors must sum to 1")
+        object.__setattr__(self, "mart12", LlrMartingale.of(self.p1, self.p2))
+        object.__setattr__(self, "mart21", LlrMartingale.of(self.p2, self.p1))
 
     @classmethod
     def from_probs(cls, p1, p2, priors=(0.5, 0.5)) -> "HypothesisPair":
@@ -48,17 +82,17 @@ class HypothesisPair:
 
     def log_lr(self) -> np.ndarray:
         """ln(P1(x)/P2(x)) per symbol."""
-        return np.log(self.p1.as_array() / self.p2.as_array())
+        return self.mart12.llr
 
     @property
     def d12(self) -> float:
         """D(P1||P2) in nats."""
-        return float(np.dot(self.p1.as_array(), self.log_lr()))
+        return self.mart12.D
 
     @property
     def d21(self) -> float:
         """D(P2||P1) in nats."""
-        return float(np.dot(self.p2.as_array(), -self.log_lr()))
+        return self.mart21.D
 
 
 @dataclass(frozen=True)
@@ -192,23 +226,20 @@ def martingale_params(
 ) -> MartingaleParams:
     """Compute d_i, sigma_i^2, gamma_i and the per-event deltas.
 
-    Default thresholds are the single zero threshold. sigma2^2 is the
-    second moment of ln(P2/P1) about +D(P2||P1) (not the centered
-    variance); this convention is what the reference exponent values
+    Default thresholds are the single zero threshold. d_i, D(P1||P2),
+    D(P2||P1) and the centred sigma1^2 come from the pair's log-LR
+    martingales. sigma2^2 = E_P2[(ln(P2/P1) + D(P2||P1))^2] is not the
+    centred variance; this convention is what the reference exponent values
     (e.g. gamma2 = 7/9 for the swapped (0.4, 0.6) pair) pin down, and it
     only lowers the resulting lower bounds, so validity is preserved.
     """
     if thresholds is None:
         thresholds = Thresholds.single(0.0)
     thresholds.validate_for(pair)
-    llr = pair.log_lr()
-    p1 = pair.p1.as_array()
-    p2 = pair.p2.as_array()
-    d12, d21 = pair.d12, pair.d21
-    d1 = float(np.max(np.abs(llr - d12)))
-    d2 = float(np.max(np.abs(-llr - d21)))
-    sigma1sq = float(np.dot(p1, (llr - d12) ** 2))
-    sigma2sq = float(np.dot(p2, (-llr + d21) ** 2))
+    m12, m21 = pair.mart12, pair.mart21
+    d12, d21, d1, d2 = m12.D, m21.D, m12.d, m21.d
+    sigma1sq = m12.moment(2)
+    sigma2sq = float(np.dot(m21.probs, (m21.llr + d21) ** 2))
     eps11 = d12 - thresholds.lambda_bar
     eps21 = d21 + thresholds.lambda_under
     eps12 = d12 - thresholds.lambda_under
@@ -246,12 +277,12 @@ def refined_lower_bounds(
     mp = martingale_params(pair, thresholds)
     return LowerBoundPair(
         err_or_erasure=min(
-            _divergence_exponent(mp.gamma1, mp.delta11),
-            _divergence_exponent(mp.gamma2, mp.delta21),
+            divergence_exponent(mp.gamma1, mp.delta11),
+            divergence_exponent(mp.gamma2, mp.delta21),
         ),
         error=min(
-            _divergence_exponent(mp.gamma1, mp.delta12),
-            _divergence_exponent(mp.gamma2, mp.delta22),
+            divergence_exponent(mp.gamma1, mp.delta12),
+            divergence_exponent(mp.gamma2, mp.delta22),
         ),
     )
 

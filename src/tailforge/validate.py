@@ -18,6 +18,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .bounds import divergence_exponent
+from .pmf import FinitePmf
 from .specfun import binary_divergence
 
 _RATIONAL_DENOM_CAP = 10**6
@@ -32,24 +34,14 @@ class InfeasibleError(ValueError):
 
 @dataclass(frozen=True)
 class IncrementLaw:
-    """A finite-support, zero-mean increment law."""
+    """A finite-support, zero-mean increment law: a FinitePmf on its values."""
 
     values: tuple[float, ...]
     probs: tuple[float, ...]
 
     def __post_init__(self):
-        values = tuple(float(v) for v in self.values)
-        probs = tuple(float(p) for p in self.probs)
-        if len(values) != len(probs) or not values:
-            raise ValueError("values and probs must be equal-length, non-empty")
-        if len(set(values)) != len(values):
-            raise ValueError("support values must be distinct")
-        if any(p < 0.0 for p in probs):
-            raise ValueError("probabilities must be non-negative")
-        total = math.fsum(probs)
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"probabilities sum to {total}, not 1")
-        probs = tuple(p / total for p in probs)
+        pmf = FinitePmf(tuple(float(v) for v in self.values), self.probs)
+        values, probs = pmf.symbols, pmf.probs
         scale = max(abs(v) for v in values)
         mean = math.fsum(v * p for v, p in zip(values, probs))
         if abs(mean) > 1e-12 * max(1.0, scale):
@@ -285,8 +277,9 @@ class Example3Comparison:
 def example3_comparison(eps: float, d: float, x: float, k: int) -> Example3Comparison:
     """Compare exp(-k x^2/(2 d^2)), exp(-k D(x(1-eps)/d + eps || eps)), exact.
 
-    As eps -> 0 the divergence-route bound vanishes for any fixed x > 0
-    while Azuma's stays put; bounds >= 1 are reported as 1.
+    The middle bound is the divergence exponent at gamma = eps/(1-eps),
+    delta = x/d. As eps -> 0 it vanishes for any fixed x > 0 while
+    Azuma's stays put; bounds >= 1 are reported as 1.
     """
     if x < 0.0:
         raise ValueError("x must be non-negative")
@@ -296,7 +289,6 @@ def example3_comparison(eps: float, d: float, x: float, k: int) -> Example3Compa
         raise ValueError("k must be >= 1")
     law = two_point_increment(d, eps)
     azuma = min(1.0, math.exp(-k * x * x / (2.0 * d * d)))
-    arg = x * (1.0 - eps) / d + eps
-    thm2 = 0.0 if arg > 1.0 else min(1.0, math.exp(-k * binary_divergence(arg, eps)))
+    thm2 = min(1.0, math.exp(-k * divergence_exponent(eps / (1.0 - eps), x / d)))
     exact = exact_tail_dp(law, TailQuery(n=k, threshold=x * k, two_sided=False))
     return Example3Comparison(azuma=azuma, thm2=thm2, exact=exact)

@@ -228,16 +228,23 @@ class TestHypothesisCommand:
         )
         assert code == 2
 
-    def test_eta_adds_mdp_rows(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "hypothesis", "--p1", "0.4,0.6", "--p2", "0.6,0.4",
-            "--eta", "0.75", "--eps1", "0.05", "--mdp-n", "10000",
+    @pytest.mark.parametrize(
+        "units,mdp_n", [("nats", "10000"), ("nats", "100"), ("bits", "100")]
+    )
+    def test_eta_adds_mdp_rows(self, capsys, units, mdp_n):
+        argv = (
+            "hypothesis", "--p1", "0.4,0.6", "--p2", "0.6,0.4",
+            "--eta", "0.75", "--eps1", "0.05", "--mdp-n", mdp_n,
         )
+        code, out, _ = run_cli(capsys, *argv, "--units", units)
         assert code == 0
         header, rows = parse_csv(out)
-        table = {r[0]: float(r[1]) for r in rows}
-        assert 0.0 < table["mdp_bound"] <= 1.0
-        assert table["mdp_asymptotic_slope"] < 0.0
+        cells = dict(rows)
+        assert 0.0 < float(cells["mdp_bound"]) <= 1.0
+        assert float(cells["mdp_asymptotic_slope"]) < 0.0
+        # a probability is not an exponent: bits leave it unscaled
+        _, nats_out, _ = run_cli(capsys, *argv)
+        assert cells["mdp_bound"] == dict(parse_csv(nats_out)[1])["mdp_bound"]
 
     def test_eta_below_validity_threshold(self, capsys):
         code, _, err = run_cli(

@@ -1,7 +1,9 @@
 """Channel, OFDM and LDPC applications against closed forms and oracles."""
 
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,10 +26,14 @@ from tailforge.codingapps import (
     z2m,
     z2m_tilde,
 )
+from tailforge.hyptest import HypothesisPair, martingale_params
 from tailforge.pmf import FinitePmf
 from tailforge.specfun import f_delta
 
 TABLE_CHANNELS = [q_ary_channel(q, 0.04) for q in (2, 3, 4, 5, 10)]
+BENCH_CHANNEL = (
+    Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "channel.json"
+)
 
 
 class TestChannelConstruction:
@@ -148,6 +154,19 @@ class TestMomentProfile:
     def test_odd_m_rejected(self):
         with pytest.raises(ValueError):
             channel_moment_profile(bsc(0.1), 3)
+
+    def test_pairwise_is_hypothesis_martingale_at_zero_threshold(self):
+        config = DmcChannel.from_json(json.loads(BENCH_CHANNEL.read_text()))
+        for ch in TABLE_CHANNELS + [config]:
+            profile, delta = channel_moment_profile(ch, 2)
+            mp = martingale_params(HypothesisPair(ch.p0, ch.p1))
+            assert mp.gamma1 == profile.gamma2
+            assert mp.delta11 == delta
+            # the paper's jump bound max_y |ln(P(y|1)/P(y|0))| + D
+            p0, p1 = ch.p0.as_array(), ch.p1.as_array()
+            div = float(np.dot(p0, np.log(p0 / p1)))
+            paper_d = float(np.max(np.abs(np.log(p1 / p0)))) + div
+            assert mp.d1 == pytest.approx(paper_d, rel=1e-15, abs=0.0)
 
 
 TABLE1_Z2 = {

@@ -24,7 +24,7 @@ from tailforge.hyptest import (
     refined_lower_bounds,
     ternary_skewed_family,
 )
-from tailforge.bounds import _divergence_exponent
+from tailforge.bounds import divergence_exponent
 
 
 SWAP_PAIR = HypothesisPair.from_probs((0.4, 0.6), (0.6, 0.4))
@@ -231,7 +231,7 @@ class TestCubicLower:
             for delta in np.linspace(0.0, 1.0, 100):
                 assert (
                     divergence_cubic_lower(gamma, delta)
-                    <= _divergence_exponent(gamma, delta) + 1e-12
+                    <= divergence_exponent(gamma, delta) + 1e-12
                 )
 
 
