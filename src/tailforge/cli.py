@@ -299,7 +299,7 @@ def cmd_ldpc(args) -> int:
             raise ConfigError(str(exc)) from exc
     elif args.regular:
         dv, dc = (int(v) for v in args.regular.split(","))
-        ens = codingapps.LdpcEnsemble.regular(args.n or 1024, dv, dc)
+        ens = codingapps.LdpcEnsemble.regular(args.n, dv, dc)
     else:
         raise ConfigError("need --config LDPC.json or --regular DV,DC")
     res = codingapps.ldpc_cycles_bound(ens, args.alpha)
@@ -433,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ldpc", help="cycle-space concentration for an ensemble")
     _add_common(p)
     p.add_argument("--regular", help="regular ensemble DV,DC")
-    p.add_argument("--n", type=int, help="block length for --regular")
+    p.add_argument("--n", type=int, default=1024, help="block length for --regular")
     p.add_argument("--alpha", type=float, required=True)
     p.set_defaults(func=cmd_ldpc)
 

@@ -244,6 +244,8 @@ class LdpcEnsemble:
 
     @classmethod
     def regular(cls, n: int, dv: int, dc: int) -> "LdpcEnsemble":
+        if dv < 1 or dc < 1:
+            raise ValueError("degrees must be >= 1")
         lam = [0.0] * dv
         lam[dv - 1] = 1.0
         rho = [0.0] * dc

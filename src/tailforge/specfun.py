@@ -1,10 +1,9 @@
 """Scalar special functions shared by all tail-exponent computations.
 
-Binary and finite-alphabet divergences (natural log), the binary entropy,
-the bounded-jump kernel f(delta) = ln2*(1 - h2((1-delta)/2)), the
-Bennett-type kernel B(u), the truncated-exponential remainder phi_m, both
-real branches of the Lambert W function, and the exponential envelope of
-the Gaussian Q-function.
+The binary divergence (natural log), the bounded-jump kernel
+f(delta) = ln2*(1 - h2((1-delta)/2)), the Bennett-type kernel B(u), the
+truncated-exponential remainder phi_m, both real branches of the Lambert W
+function, and the exponential envelope of the Gaussian Q-function.
 
 Conventions: 0*ln(0) = 0 everywhere; +inf is an explicit return value
 (math.inf), never an overflow artifact; inputs within BOUNDARY_CLAMP of a
@@ -14,8 +13,6 @@ domain boundary are clamped onto it. All functions are pure.
 from __future__ import annotations
 
 import math
-
-from .pmf import FinitePmf
 
 INV_E = math.exp(-1.0)
 BOUNDARY_CLAMP = 1e-12
@@ -60,27 +57,6 @@ def binary_divergence(p: float, q: float) -> float:
             return 0.0
         raise ValueError(f"q={q} must lie strictly inside (0, 1)")
     return _xlogx_ratio(p, q) + _xlogx_ratio(1.0 - p, 1.0 - q)
-
-
-def kl_divergence(p: FinitePmf, q: FinitePmf) -> float:
-    """Relative entropy D(P||Q) in nats; +inf if supp(P) is not in supp(Q)."""
-    p.require_same_alphabet(q)
-    total = 0.0
-    for pi, qi in zip(p.probs, q.probs):
-        if pi == 0.0:
-            continue
-        if qi == 0.0:
-            return math.inf
-        total += pi * math.log(pi / qi)
-    return total
-
-
-def binary_entropy(x: float) -> float:
-    """h2(x) = -x log2(x) - (1-x) log2(1-x) in bits, endpoints mapping to 0."""
-    x = _clamp_unit(x, "x")
-    if x == 0.0 or x == 1.0:
-        return 0.0
-    return -(x * math.log2(x) + (1.0 - x) * math.log2(1.0 - x))
 
 
 def f_delta(delta: float) -> float:

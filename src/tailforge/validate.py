@@ -1,10 +1,11 @@
 """Ground-truth machinery: exact tails, binomial sandwiches, Monte Carlo.
 
 Exact tail probabilities for sums of i.i.d. finite-support zero-mean
-increments are computed by sparse convolution over an exact integer value
-lattice (rational supports) or a 1e-12-quantized lattice (irrational
-supports, worst-case threshold error n*1e-12). These serve as oracles
-proving the analytic bounds valid on small instances.
+increments are computed by an array DP over the sums' integer lattice keys:
+an exact integer value lattice (rational supports) or a 1e-12-quantized
+lattice (irrational supports, worst-case threshold error n*1e-12). Its size
+is capped by the number of lattice states it can hold. These serve as
+oracles proving the analytic bounds valid on small instances.
 """
 
 from __future__ import annotations
@@ -112,7 +113,14 @@ def exact_tail_dp(law: IncrementLaw, query: TailQuery) -> float:
 
     Rational supports (denominators up to 1e6) use an exact integer
     lattice, so threshold comparisons are exact; other supports are
-    quantized to a 1e-12 grid. Probabilities accumulate in float64.
+    quantized to a 1e-12 grid. Each of the n rounds adds every step to
+    every lattice key and merges equal sums with np.unique/np.bincount.
+    Keys are held in descending order, which fixes the order in which each
+    merged float64 probability adds its terms. Keys are int64 while
+    n*max|step| < 2**62 and exact Python ints (dtype=object) beyond. With s
+    support points the DP holds at most
+    min(comb(n+s-1, s-1), n*(max step - min step) + 1) keys; InfeasibleError
+    is raised only when that exceeds the state cap.
     """
     n = query.n
     lattice = _integer_lattice(law.values)
@@ -121,31 +129,28 @@ def exact_tail_dp(law: IncrementLaw, query: TailQuery) -> float:
         thresh = Fraction(query.threshold) * denom
     else:
         steps = [round(v * _QUANT) for v in law.values]
-        denom = _QUANT
         thresh = Fraction(round(query.threshold * _QUANT))
 
     s = len(steps)
-    est_states = math.comb(n + s - 1, s - 1)
-    if est_states > _STATE_CAP:
+    states = min(math.comb(n + s - 1, s - 1), n * (max(steps) - min(steps)) + 1)
+    if states > _STATE_CAP:
         raise InfeasibleError(
-            f"support {s}, n={n}: about {est_states} lattice states exceeds cap"
+            f"support {s}, n={n}: {states} lattice states exceeds cap"
         )
 
-    dist = {0: 1.0}
+    dtype = np.int64 if n * max(map(abs, steps)) < 2**62 else object
+    step_keys, step_probs = np.array(steps, dtype=dtype), np.array(law.probs)
+    keys, dist = np.zeros(1, dtype=dtype), np.ones(1)
     for _ in range(n):
-        nxt: dict[int, float] = {}
-        for value, prob in dist.items():
-            for a, p in zip(steps, law.probs):
-                key = value + a
-                nxt[key] = nxt.get(key, 0.0) + prob * p
-        dist = nxt
+        sums = (keys[:, None] + step_keys).ravel()
+        keys, merge = np.unique(sums, return_inverse=True)
+        dist = np.bincount(merge, weights=(dist[:, None] * step_probs).ravel())
+        keys, dist = keys[::-1], dist[::-1]
 
-    kmin = math.ceil(thresh)
-    upper = math.fsum(p for k, p in dist.items() if k >= kmin)
+    upper = math.fsum(dist[keys >= math.ceil(thresh)])
     if not query.two_sided:
         return min(1.0, upper)
-    kmax = math.floor(-thresh)
-    lower = math.fsum(p for k, p in dist.items() if k <= kmax)
+    lower = math.fsum(dist[keys <= math.floor(-thresh)])
     return min(1.0, upper + lower)
 
 
@@ -160,7 +165,7 @@ class SandwichTriple:
 
 
 def types_sandwich_check(p: float, n: int, r: float) -> SandwichTriple:
-    """Method-of-types sandwich for i.i.d. Bernoulli(p), r >= p.
+    """Method-of-types sandwich for i.i.d. Bernoulli(p), p <= r <= 1.
 
     r is rounded up to the type lattice k/n; exact is the binomial upper
     tail P(S >= k) computed with exact binomial coefficients.
@@ -169,10 +174,9 @@ def types_sandwich_check(p: float, n: int, r: float) -> SandwichTriple:
         raise ValueError("p must lie in (0, 1/2]")
     if n < 1:
         raise ValueError("n must be >= 1")
-    if r < p:
-        raise ValueError("r must be >= p")
+    if not p <= r <= 1.0:
+        raise ValueError("r must lie in [p, 1]")
     k0 = math.ceil(Fraction(r) * n)
-    k0 = min(k0, n)
     r_eff = k0 / n
     exact = math.fsum(
         math.comb(n, k) * p**k * (1.0 - p) ** (n - k) for k in range(k0, n + 1)

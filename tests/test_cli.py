@@ -267,6 +267,20 @@ class TestLdpcCommand:
         assert table["beta"] == pytest.approx(0.5)
         assert table["bound"] <= table["azuma_bound"]
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("--regular", "0,6"), "degrees"),
+            (("--regular", "3,0"), "degrees"),
+            (("--regular", "3,6", "--n", "0"), "block length"),
+        ],
+    )
+    def test_bad_regular_ensemble_is_config_error(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "ldpc", *argv, "--alpha", "0.1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error:") and message in err
+
 
 class TestOfdmCommand:
     def test_bounds_output(self, capsys):
@@ -337,7 +351,7 @@ class TestSimulateCommand:
         vals = [1.0, 0.5, 0.25, -0.25, -0.5, -1.0]
         cfg.write_text(json.dumps({"values": vals, "probs": [1 / 6.0] * 6}))
         code, _, err = run_cli(
-            capsys, "simulate", "--law", str(cfg), "--k", "64",
+            capsys, "simulate", "--law", str(cfg), "--k", "700000",
             "--threshold", "1.0", "--seed", "2",
         )
         assert code == 3

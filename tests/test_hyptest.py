@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from tailforge.pmf import FinitePmf
+from tailforge.pmf import AlphabetMismatchError, FinitePmf
 from tailforge import hyptest
 from tailforge.hyptest import (
     HypothesisPair,
@@ -41,6 +41,12 @@ def sup_oracle(pair, r, tgrid):
 
 
 class TestPairValidation:
+    def test_alphabet_mismatch(self):
+        p = FinitePmf((0, 1), (0.5, 0.5))
+        q = FinitePmf((0, 2), (0.5, 0.5))
+        with pytest.raises(AlphabetMismatchError):
+            HypothesisPair(p, q)
+
     def test_zero_mass_rejected(self):
         with pytest.raises(ValueError):
             HypothesisPair.from_probs((1.0, 0.0), (0.5, 0.5))

@@ -14,14 +14,13 @@ import pytest
 from scipy.special import erfc
 from scipy.special import lambertw as scipy_lambertw
 
-from tailforge.pmf import AlphabetMismatchError, FinitePmf
+from tailforge.hyptest import LlrMartingale
+from tailforge.pmf import FinitePmf
 from tailforge import specfun
 from tailforge.specfun import (
     big_b,
     binary_divergence,
-    binary_entropy,
     f_delta,
-    kl_divergence,
     lambert_w0,
     lambert_w0_exparg,
     lambert_wm1,
@@ -35,6 +34,13 @@ def f_delta_series(delta, terms=200):
     return math.fsum(
         delta ** (2 * p) / (2 * p * (2 * p - 1)) for p in range(1, terms + 1)
     )
+
+
+def h2(x):
+    """Binary entropy in bits, endpoints mapping to 0."""
+    if x in (0.0, 1.0):
+        return 0.0
+    return -(x * math.log2(x) + (1 - x) * math.log2(1 - x))
 
 
 def phi_series(m, y, terms=400):
@@ -84,44 +90,24 @@ class TestBinaryDivergence:
         # D(p || 1/2) = ln2 (1 - h2(p))
         for p in np.linspace(0.0, 1.0, 101):
             lhs = binary_divergence(p, 0.5)
-            rhs = math.log(2) * (1 - binary_entropy(p))
+            rhs = math.log(2) * (1 - h2(p))
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
 class TestKlDivergence:
+    """D(P||Q) of two pmfs, formed by hyptest.LlrMartingale."""
+
     def test_uniform_identity(self):
         u = FinitePmf.uniform(("a", "b", "c"))
-        assert kl_divergence(u, u) == 0.0
+        assert LlrMartingale.of(u, u).D == 0.0
 
     def test_two_point(self):
         p = FinitePmf((0, 1), (0.4, 0.6))
         q = FinitePmf((0, 1), (0.6, 0.4))
         # frozen via 50-digit mpmath: 0.4 ln(2/3) + 0.6 ln(3/2)
-        assert kl_divergence(p, q) == pytest.approx(0.08109302162163288, abs=1e-14)
-
-    def test_disjoint_support_is_inf(self):
-        p = FinitePmf((0, 1), (1.0, 0.0))
-        q = FinitePmf((0, 1), (0.5, 0.5))
-        assert kl_divergence(p, q) == pytest.approx(math.log(2), abs=1e-14)
-        assert kl_divergence(q, p) == math.inf
-
-    def test_alphabet_mismatch(self):
-        p = FinitePmf((0, 1), (0.5, 0.5))
-        q = FinitePmf((0, 2), (0.5, 0.5))
-        with pytest.raises(AlphabetMismatchError):
-            kl_divergence(p, q)
-
-
-class TestBinaryEntropy:
-    @pytest.mark.parametrize("x,expected", [(0.5, 1.0), (0.0, 0.0), (1.0, 0.0)])
-    def test_endpoints(self, x, expected):
-        assert binary_entropy(x) == expected
-
-    def test_value(self):
-        x = 0.11
-        direct = -(x * math.log2(x) + (1 - x) * math.log2(1 - x))
-        assert binary_entropy(x) == pytest.approx(direct, abs=1e-15)
-        assert binary_entropy(0.11) == pytest.approx(0.499916, abs=5e-7)
+        assert LlrMartingale.of(p, q).D == pytest.approx(
+            0.08109302162163288, abs=1e-14
+        )
 
 
 class TestFDelta:
@@ -129,6 +115,13 @@ class TestFDelta:
         assert f_delta(0.0) == 0.0
         assert f_delta(1.0) == pytest.approx(math.log(2), abs=1e-15)
         assert f_delta(1.5) == math.inf
+
+    def test_entropy_identity(self):
+        # f(delta) = ln2 (1 - h2((1-delta)/2)); h2(0.11) = 0.499916 bits
+        assert h2(0.11) == pytest.approx(0.499916, abs=5e-7)
+        for delta in np.linspace(0.0, 1.0, 101):
+            rhs = math.log(2) * (1 - h2((1 - delta) / 2))
+            assert f_delta(delta) == pytest.approx(rhs, abs=1e-12)
 
     def test_series_oracle(self):
         # 40 terms reach 1e-10 only for delta away from 1 (the tail decays

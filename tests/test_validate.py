@@ -101,11 +101,40 @@ class TestExactTailDp:
         assert at > above
 
     def test_infeasible_size(self):
+        # 8n + 1 = 5600001 lattice states: refused before any step
         law = IncrementLaw(
             (1.0, 0.5, 0.25, -0.25, -0.5, -1.0), (1 / 6.0,) * 6
         )
         with pytest.raises(InfeasibleError):
-            exact_tail_dp(law, TailQuery(64, 1.0))
+            exact_tail_dp(law, TailQuery(700_000, 1.0))
+
+    @pytest.mark.parametrize(
+        "values,scale,n",
+        [
+            ((1.0, 0.5, 0.25, -0.25, -0.5, -1.0), 4, 64),
+            ((1.0, 0.5, -0.5, -1.0), 2, 400),
+        ],
+    )
+    def test_matches_dense_convolution(self, values, scale, n):
+        # comb(n+s-1, s-1) step-count tuples but only 2*scale*n + 1 lattice states
+        probs = (1 / len(values),) * len(values)
+        steps = [round(v * scale) for v in values]
+        kernel = np.zeros(2 * scale + 1)
+        for a, p in zip(steps, probs):
+            kernel[a + scale] += p
+        dense = np.ones(1)
+        for _ in range(n):
+            dense = np.convolve(dense, kernel)
+        sums = np.arange(dense.size) - n * scale  # lattice units
+        law = IncrementLaw(values, probs)
+        for x in (0.0, 0.05, 0.3, 0.7):
+            k = math.ceil(x * n * scale)
+            got = exact_tail_dp(law, TailQuery(n, x * n))
+            assert got == pytest.approx(dense[sums >= k].sum(), rel=1e-12)
+            got = exact_tail_dp(law, TailQuery(n, x * n, two_sided=True))
+            want = dense[sums >= k].sum() + dense[sums <= -k].sum()
+            assert got == pytest.approx(min(1.0, want), rel=1e-12)
+        assert exact_tail_dp(law, TailQuery(n, 1e30)) == 0.0
 
 
 class TestSandwich:
@@ -114,6 +143,12 @@ class TestSandwich:
         assert res.exact == pytest.approx(float(binom.sf(9, 20, 0.3)), rel=1e-12)
         assert res.exact == pytest.approx(0.0479618973, abs=1e-9)
         assert res.lower <= res.exact <= res.upper
+
+    @pytest.mark.parametrize("r", [1.5, 0.2])
+    def test_r_outside_p_to_one(self, r):
+        # r > 1 is an impossible event, not the k = n cell
+        with pytest.raises(ValueError):
+            types_sandwich_check(0.3, 20, r)
 
     def test_r_equal_p(self):
         res = types_sandwich_check(0.5, 16, 0.5)
