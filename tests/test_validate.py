@@ -2,11 +2,13 @@
 
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.stats import binom
 
+from tailforge import validate
 from tailforge.validate import (
     Example3Comparison,
     IncrementLaw,
@@ -39,6 +41,17 @@ class TestLawValidation:
         law = bernoulli_centered_increment(0.3)
         assert law.values == (0.7, -0.3)
         assert law.variance == pytest.approx(0.21, abs=1e-15)
+
+
+class TestTailQuery:
+    @pytest.mark.parametrize("n", [10.5, 10.0, "10"])
+    def test_non_integer_n_rejected(self, n):
+        with pytest.raises(ValueError):
+            TailQuery(n=n, threshold=1.0)
+
+    def test_integer_like_n_accepted(self):
+        q = TailQuery(n=np.int64(12), threshold=1.0)
+        assert q.n == 12 and type(q.n) is int
 
 
 class TestExactTailDp:
@@ -219,6 +232,78 @@ class TestMonteCarlo:
 
         mc = monte_carlo_tail(sampler, TailQuery(10, 0.0), 2000, seed=9)
         assert 0.4 <= mc.estimate <= 0.7
+
+
+def _choice_sums(law):
+    """The rng.choice sampler that IncrementLaw.sample_sums must reproduce."""
+
+    def draw(rng, n, size):
+        return rng.choice(law.values, size=(size, n), p=law.probs).sum(axis=1)
+
+    return draw
+
+
+SAMPLER_LAWS = {
+    "point": IncrementLaw((0.0,), (1.0,)),
+    "pm1": PM_ONE,
+    "two_point": two_point_increment(1.0, 0.01),
+    "zero_first": IncrementLaw((2.0, 1.0, -1.0), (0.0, 0.5, 0.5)),
+    "zero_last": IncrementLaw((1.0, -1.0, 3.0), (0.5, 0.5, 0.0)),
+    "unsorted4": IncrementLaw((0.0, 1.0, -1.0, 0.5), (0.3, 0.2, 0.3, 0.2)),
+    "unsorted5": IncrementLaw((-0.5, 2.0, 0.0, 0.5, -1.0), (0.2, 0.1, 0.3, 0.2, 0.2)),
+}
+
+
+class TestSampleSums:
+    @pytest.mark.parametrize("law", SAMPLER_LAWS.values(), ids=SAMPLER_LAWS.keys())
+    @pytest.mark.parametrize("n", [1, 7, 100, 1000, 20000])
+    def test_bit_identical_to_choice(self, law, n):
+        rows = max(1, validate._SAMPLE_BLOCK // n)
+        # one block, several whole blocks, and a partial last block
+        for size in (max(1, rows // 2), 3 * rows, 2 * rows + rows // 2 + 1):
+            for seed in (0, 17):
+                want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                want = _choice_sums(law)(want_rng, n, size)
+                got = law.sample_sums(got_rng, n, size)
+                assert got.shape == (size,)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+                # both leave the generator at the same point in its stream
+                assert got_rng.random() == want_rng.random()
+
+    def test_knot_ties_follow_searchsorted_right(self):
+        # choice maps u to searchsorted(cumsum(p) / cumsum[-1], u, 'right');
+        # ten 0.1s sum to 1 - 2**-53 here, so the division moves knots
+        law = IncrementLaw(tuple(k - 4.5 for k in range(10)), (0.1,) * 10)
+        cdf = np.cumsum(law.probs)
+        knots = cdf / cdf[-1]
+        u = np.unique(np.concatenate([cdf[:-1], knots[:-1]]))
+        u = np.concatenate([np.nextafter(u, 0.0), u, np.nextafter(u, 1.0)])
+
+        class Replay:
+            def random(self, out):
+                out[...] = u.reshape(out.shape)
+
+        got = law.sample_sums(Replay(), 1, u.size)
+        want = np.array(law.values)[np.searchsorted(knots, u, side="right")]
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("law", SAMPLER_LAWS.values(), ids=SAMPLER_LAWS.keys())
+    def test_monte_carlo_matches_choice_reference(self, law, workers):
+        q = TailQuery(60, 0.8 * math.sqrt(60 * law.variance), two_sided=True)
+        got = monte_carlo_tail(law, q, 4000, seed=23, workers=workers)
+        assert got == monte_carlo_tail(_choice_sums(law), q, 4000, seed=23, workers=1)
+
+    def test_memory_is_per_block(self):
+        # rng.choice makes three 64 x 1e5 float64/int64 arrays here (~150 MB)
+        rng = np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            PM_ONE.sample_sums(rng, 100_000, 64)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
 
 class TestBoundValidity:
