@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence, Tuple
 
-from ._optim import golden_min, minimize_on_ray
+from ._optim import minimize_on_ray
 from .specfun import (
     BOUNDARY_CLAMP,
     big_b,
@@ -29,7 +29,6 @@ METHOD_TAGS = (
     "azuma",
     "thm2",
     "thm3",
-    "cor2",
     "cor3",
     "cor4",
     "thm4",
@@ -37,7 +36,6 @@ METHOD_TAGS = (
     "pinsker",
     "refined_pinsker",
     "chung_lu",
-    "freedman",
 )
 
 
@@ -156,19 +154,6 @@ def azuma_exponent(spec: MartingaleSpec, alpha: float) -> ExponentValue:
     """Azuma's exponent delta^2/2 for P(|X_n - X_0| >= alpha*n)."""
     delta = spec.delta(alpha)
     return ExponentValue(delta * delta / 2.0, "azuma", {"delta": delta})
-
-
-def azuma_bound_nonuniform(d_seq: Sequence[float], r: float) -> float:
-    """min(1, 2 exp(-r^2 / (2 sum d_k^2))) for per-step bounds d_k."""
-    d_seq = list(d_seq)
-    if not d_seq:
-        raise ValueError("d_seq must be non-empty")
-    if any(d <= 0.0 for d in d_seq):
-        raise ValueError("jump bounds must be positive")
-    if r < 0.0:
-        raise ValueError("r must be non-negative")
-    total = math.fsum(d * d for d in d_seq)
-    return min(1.0, 2.0 * math.exp(-r * r / (2.0 * total)))
 
 
 def thm2_exponent(spec: MartingaleSpec, alpha: float) -> ExponentValue:
@@ -383,49 +368,6 @@ def cor6_suboptimal(profile: MomentProfile, delta: float):
     return x, ExponentValue(max(0.0, e), method, {**params, "x": x})
 
 
-@dataclass(frozen=True)
-class ExponentComparison:
-    """E2 (divergence route) vs E4/E4~ (higher-moment route) at one (profile, delta)."""
-
-    e2: float
-    e4: float
-    e4_tilde: float
-    e4_beats_e2: bool
-
-
-def compare_e2_e4(
-    profile: MomentProfile, gamma: float, delta: float
-) -> ExponentComparison:
-    """Compare the divergence exponent E2 with the m-moment exponent E4.
-
-    Requires gamma == gamma_2 of the profile (same second moment feeds
-    both routes). The higher-moment route wins exponentially iff E4 > E2;
-    checking the closed-form E4~ first avoids the scalar optimization.
-    """
-    if abs(gamma - profile.gamma2) > 1e-12:
-        raise ValueError("gamma must equal the profile's gamma_2")
-    e2 = divergence_exponent(gamma, delta)
-    e4 = thm4_exponent(profile, delta).exponent
-    if delta > 0.0 and delta <= 1.0:
-        _, tilde = cor6_suboptimal(profile, delta)
-        e4_tilde = tilde.exponent
-    else:
-        e4_tilde = e4
-    return ExponentComparison(e2, e4, e4_tilde, e4 > e2)
-
-
-def freedman_exponent(z: float, r: float) -> ExponentValue:
-    """Freedman-form exponent (z^2 / 2r) B(z/r) for P(S_n >= z, Q_n <= r).
-
-    With z = delta*n and r = gamma*n this is n times the Bennett-kernel
-    exponent, recovering the cor3 rate.
-    """
-    if z <= 0.0 or r <= 0.0:
-        raise ValueError("z and r must be positive")
-    e = z * z / (2.0 * r) * big_b(z / r)
-    return ExponentValue(e, "freedman", {"z": z, "r": r})
-
-
 def chung_lu_exponent(gamma: float, delta: float) -> ExponentValue:
     """Bernstein-style comparison exponent delta^2 / (2 gamma + 2 delta/3)."""
     if not 0.0 < gamma <= 1.0 + BOUNDARY_CLAMP:
@@ -500,11 +442,3 @@ def mdp_exponent_check(
             )
         )
     return rows
-
-
-def mcdiarmid_mgf_compare(gamma: float, x: float) -> tuple[float, float]:
-    """(1 + gamma(e^x - 1 - x), exp(gamma(e^x - 1 - x))): tight vs loosened MGF cap."""
-    if x < 0.0:
-        raise ValueError("x must be non-negative")
-    core = gamma * (math.expm1(x) - x)
-    return (1.0 + core, math.exp(core))

@@ -72,14 +72,18 @@ def _emit(columns, rows, args, exponent_columns=()):
         sys.stdout.write(payload)
 
 
-def _load_json(path: str):
+def _load_json(path: str) -> dict:
+    """Every JSON input format is an object; anything else is a config error."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path} must hold a JSON object")
+    return obj
 
 
 def _parse_grid(spec: str):
@@ -124,8 +128,14 @@ def cmd_exponents(args) -> int:
     deltas = _parse_grid(args.grid) if args.grid else None
     if args.config:
         cfg = _load_json(args.config)
-        gammas = [float(g) for g in cfg.get("gamma", gammas or [])]
-        deltas = [float(d) for d in cfg.get("delta", deltas or [])]
+        for key in ("gamma", "delta"):
+            if not isinstance(cfg.get(key, []), list):
+                raise ConfigError(f"config field {key!r} must be a list")
+        try:
+            gammas = [float(g) for g in cfg.get("gamma", gammas or [])]
+            deltas = [float(d) for d in cfg.get("delta", deltas or [])]
+        except TypeError as exc:
+            raise ConfigError(f"config gamma/delta entries: {exc}") from exc
     if not gammas:
         raise ConfigError("need --gamma or a config with a 'gamma' list")
     if not deltas:
@@ -171,7 +181,7 @@ def _channels_from_args(args):
         obj = _load_json(args.config)
         try:
             return [("config", codingapps.DmcChannel.from_json(obj))]
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
     if args.qary:
         qspec, p = args.qary
@@ -227,7 +237,7 @@ def _pair_from_args(args) -> tuple[HypothesisPair, Thresholds]:
                 thresholds = Thresholds(
                     float(t["lambda_bar"]), float(t["lambda_under"])
                 )
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"hypothesis config: {exc}") from exc
         return pair, thresholds
     if args.p1 and args.p2:
@@ -295,7 +305,7 @@ def cmd_ldpc(args) -> int:
     if args.config:
         try:
             ens = codingapps.LdpcEnsemble.from_json(_load_json(args.config))
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
     elif args.regular:
         dv, dc = (int(v) for v in args.regular.split(","))
@@ -362,7 +372,7 @@ def cmd_simulate(args) -> int:
         cfg = _load_json(args.law)
         try:
             law = validate.IncrementLaw(tuple(cfg["values"]), tuple(cfg["probs"]))
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"increment-law JSON: {exc}") from exc
         if args.threshold is None:
             raise ConfigError("custom law simulation requires --threshold")

@@ -79,14 +79,6 @@ class DmcChannel:
             raise ValueError(f"channel JSON field 'p1': {exc}") from exc
         return cls(outputs, p0, p1, tuple(int(i) for i in obj["sym"]))
 
-    def to_json(self) -> dict:
-        return {
-            "outputs": list(self.outputs),
-            "p0": list(self.p0.probs),
-            "p1": list(self.p1.probs),
-            "sym": list(self.sym),
-        }
-
 
 def q_ary_channel(q: int, p: float) -> DmcChannel:
     """The Q-output symmetric channel: correct symbol w.p. 1-(Q-1)p, else p.
@@ -178,42 +170,6 @@ def z2m_tilde(channel: DmcChannel, m: int) -> PairwiseBound:
     profile, delta = channel_moment_profile(channel, m)
     _, ev = bounds.cor6_suboptimal(profile, delta)
     return PairwiseBound(base=math.exp(-ev.exponent), method=f"z2tilde({m})")
-
-
-@dataclass(frozen=True)
-class ProbeRow:
-    m: int
-    z2: float
-    gap: float  # |Z2^(m) - Z_B|
-    gap_ratio: float  # gap / previous gap
-    quad_ratio: float  # gap / previous gap^2
-
-
-@dataclass(frozen=True)
-class ConvergenceProbe:
-    """Observational record of Z2^(m) -> Z_B; carries no pass/fail verdict."""
-
-    z_b: float
-    rows: tuple[ProbeRow, ...]
-
-
-def conjecture1_probe(channel: DmcChannel, m_list: Sequence[int]) -> ConvergenceProbe:
-    """Gap diagnostics |Z2^(m) - Z_B| and successive ratios over m_list."""
-    zb = bhattacharyya(channel).base
-    rows = []
-    prev_gap = None
-    for m in m_list:
-        base = z2m(channel, m).base
-        gap = abs(base - zb)
-        if prev_gap is None or prev_gap == 0.0:
-            gap_ratio = math.nan
-            quad_ratio = math.nan
-        else:
-            gap_ratio = gap / prev_gap
-            quad_ratio = gap / prev_gap**2
-        rows.append(ProbeRow(m=m, z2=base, gap=gap, gap_ratio=gap_ratio, quad_ratio=quad_ratio))
-        prev_gap = gap
-    return ConvergenceProbe(z_b=zb, rows=tuple(rows))
 
 
 @dataclass(frozen=True)

@@ -121,12 +121,15 @@ class Thresholds:
 
 
 def log_mgf_h(pair: HypothesisPair, t: float) -> float:
-    """H(t) = ln sum_x P1(x)^(1-t) P2(x)^t; convex with H(0) = H(1) = 0."""
-    lp1 = np.log(pair.p1.as_array())
-    lp2 = np.log(pair.p2.as_array())
-    exponents = (1.0 - t) * lp1 + t * lp2
+    """H(t) = ln sum_x P1(x)^(1-t) P2(x)^t; convex with H(0) = H(1) = 0.
+
+    Formed as ln E_P1[e^(-t llr)] from the pair's P1-vs-P2 martingale, with
+    the largest exponent factored out so no term overflows.
+    """
+    mart = pair.mart12
+    exponents = -t * mart.llr
     peak = float(np.max(exponents))
-    return peak + math.log(float(np.sum(np.exp(exponents - peak))))
+    return peak + math.log(float(np.dot(mart.probs, np.exp(exponents - peak))))
 
 
 def rate_function(pair: HypothesisPair, r: float) -> float:
@@ -300,18 +303,6 @@ def azuma_lower_bounds(
         err_or_erasure=min(half_sq(mp.delta11), half_sq(mp.delta21)),
         error=min(half_sq(mp.delta12), half_sq(mp.delta22)),
     )
-
-
-def divergence_cubic_lower(gamma: float, delta: float) -> float:
-    """Cubic lower bound delta^2/(2 gamma) - delta^3/(6 gamma^2 (1+gamma)).
-
-    Always below the divergence exponent for gamma in (0,1], delta in [0,1].
-    """
-    if not 0.0 < gamma <= 1.0:
-        raise ValueError("gamma must lie in (0, 1]")
-    if not 0.0 <= delta <= 1.0:
-        raise ValueError("delta must lie in [0, 1]")
-    return delta**2 / (2.0 * gamma) - delta**3 / (6.0 * gamma**2 * (1.0 + gamma))
 
 
 class ParametricFamily:

@@ -1,9 +1,8 @@
 """Scalar special functions shared by all tail-exponent computations.
 
 The binary divergence (natural log), the bounded-jump kernel
-f(delta) = ln2*(1 - h2((1-delta)/2)), the Bennett-type kernel B(u), the
-truncated-exponential remainder phi_m, both real branches of the Lambert W
-function, and the exponential envelope of the Gaussian Q-function.
+f(delta) = ln2*(1 - h2((1-delta)/2)), the Bennett-type kernel B(u) and
+both real branches of the Lambert W function.
 
 Conventions: 0*ln(0) = 0 everywhere; +inf is an explicit return value
 (math.inf), never an overflow artifact; inputs within BOUNDARY_CLAMP of a
@@ -99,34 +98,6 @@ def big_b(u: float) -> float:
             k += 1
             term *= -u
     return 2.0 * ((1.0 + u) * math.log1p(u) - u) / (u * u)
-
-
-def phi_m(m: int, y: float) -> float:
-    """Remainder kernel (m!/y^m)(e^y - sum_{l<m} y^l/l!), with phi_m(0) = 1.
-
-    m must be even and >= 2. Continuous, increasing on [0, inf), and in
-    (0, 1) for y < 0. Evaluated by the absolutely convergent series
-    sum_{l>=0} m! y^l / (m+l)! for |y| <= m (no cancellation there), and
-    by the direct formula otherwise.
-    """
-    if m < 2 or m % 2 != 0:
-        raise ValueError("m must be an even integer >= 2")
-    if y == 0.0:
-        return 1.0
-    if abs(y) <= m:
-        total, term, l = 0.0, 1.0, 0
-        while True:
-            total += term
-            l += 1
-            term *= y / (m + l)
-            if abs(term) < 1e-18 * max(1.0, abs(total)):
-                return total + term
-    partial = 0.0
-    term = 1.0
-    for l in range(m):
-        partial += term
-        term *= y / (l + 1)
-    return math.factorial(m) / y**m * (math.exp(y) - partial)
 
 
 def _halley_w(w: float, x: float) -> float:
@@ -235,16 +206,3 @@ def lambert_w0_exparg(a: float) -> float:
             return x
         x -= g * x / (x + 1.0)
     raise ConvergenceError(f"W0(e^a) iteration did not converge for a={a}")
-
-
-def q_function_envelope(x: float) -> tuple[float, float]:
-    """Exponential envelope of Q(x) for x > 0.
-
-    Returns (lower, upper) with
-      lower = x / (sqrt(2 pi) (1 + x^2)) * exp(-x^2/2) < Q(x)
-      upper = 1 / (sqrt(2 pi) x) * exp(-x^2/2) > Q(x).
-    """
-    if x <= 0.0:
-        raise ValueError("x must be positive")
-    core = math.exp(-x * x / 2.0) / math.sqrt(2.0 * math.pi)
-    return (core * x / (1.0 + x * x), core / x)

@@ -11,16 +11,12 @@ from tailforge.bounds import (
     ExponentValue,
     MartingaleSpec,
     MomentProfile,
-    azuma_bound_nonuniform,
     azuma_exponent,
     chung_lu_exponent,
-    compare_e2_e4,
     cor3_exponent,
     cor4_exponent,
     cor4_optimal_x,
     cor6_suboptimal,
-    freedman_exponent,
-    mcdiarmid_mgf_compare,
     mdp_exponent_check,
     pinsker_loosened_exponent,
     refined_pinsker_exponent,
@@ -99,14 +95,24 @@ class TestAzuma:
         assert azuma_exponent(spec_of(1.0), 1.0).exponent == 0.5
         assert azuma_exponent(MartingaleSpec(2.0, 4.0), 1.0).exponent == 0.125
 
-    def test_nonuniform(self):
-        assert azuma_bound_nonuniform([1.0] * 100, 0.0) == 1.0
-        assert azuma_bound_nonuniform([1.0] * 100, 10.0) == 1.0  # capped
-        assert azuma_bound_nonuniform([1.0] * 100, 30.0) == pytest.approx(
+    def test_nonuniform(self, rng):
+        # per-step jump bounds d_k: 2 exp(-r^2 / (2 sum d_k^2)) is the uniform
+        # route at the RMS bound d = sqrt(sum d_k^2 / n) and alpha = r/n
+        def azuma_uniform(d_seq, r):
+            n = len(d_seq)
+            d = math.sqrt(math.fsum(x * x for x in d_seq) / n)
+            return tail_bound(azuma_exponent(MartingaleSpec(d, d * d), r / n), n)
+
+        assert azuma_uniform([1.0] * 100, 0.0) == 1.0
+        assert azuma_uniform([1.0] * 100, 10.0) == 1.0  # capped
+        assert azuma_uniform([1.0] * 100, 30.0) == pytest.approx(
             2 * math.exp(-4.5), abs=1e-12
         )
-        with pytest.raises(ValueError):
-            azuma_bound_nonuniform([], 1.0)
+        for _ in range(50):
+            d_seq = rng.uniform(0.1, 2.0, size=int(rng.integers(1, 200)))
+            r = rng.uniform(0.0, 3.0) * math.sqrt(len(d_seq))
+            want = min(1.0, 2 * math.exp(-r * r / (2 * math.fsum(d_seq**2))))
+            assert azuma_uniform(d_seq, r) == pytest.approx(want, rel=1e-12)
 
     def test_tail_bound_direction_flag(self):
         ev = azuma_exponent(spec_of(1.0), 0.5)
@@ -179,20 +185,22 @@ class TestCor3Freedman:
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_freedman_values(self):
-        assert freedman_exponent(1.0, 1.0).exponent == pytest.approx(
+        # Freedman's (z^2 / 2r) B(z/r) at z = r = 1 is cor3 at gamma = delta = 1
+        assert cor3_exponent(spec_of(1.0), 1.0).exponent == pytest.approx(
             0.5 * (4 * math.log(2) - 2), abs=1e-13
         )
-        assert freedman_exponent(1e-12, 1.0).exponent == pytest.approx(0.0, abs=1e-11)
-        with pytest.raises(ValueError):
-            freedman_exponent(0.0, 1.0)
+        assert cor3_exponent(spec_of(1.0), 1e-12).exponent == pytest.approx(
+            0.0, abs=1e-11
+        )
 
     def test_freedman_cor3_reduction(self, rng):
-        # freedman(delta n, gamma n) = n * cor3 exactly
+        # Freedman's exponent at z = delta n, r = gamma n is n * cor3
         for _ in range(200):
             gamma = rng.uniform(0.05, 1.0)
             delta = rng.uniform(0.01, 1.0)
             n = int(rng.integers(1, 1000))
-            lhs = freedman_exponent(delta * n, gamma * n).exponent
+            z, r = delta * n, gamma * n
+            lhs = z * z / (2.0 * r) * big_b(z / r)
             rhs = n * cor3_exponent(spec_of(gamma), delta).exponent
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
@@ -363,21 +371,18 @@ class TestCor6:
 
 
 class TestCompare:
+    """E4 (higher-moment route) against E2 (divergence route) at one gamma_2."""
+
     def test_m2_never_beats_divergence_route(self, rng):
         for _ in range(200):
             gamma = rng.uniform(0.02, 1.0)
             delta = rng.uniform(0.0, 1.0)
-            rep = compare_e2_e4(MomentProfile((gamma,)), gamma, delta)
-            assert rep.e4 <= rep.e2 + 1e-10
-            assert not rep.e4_beats_e2 or rep.e4 - rep.e2 <= 1e-10
+            e4 = thm4_exponent(MomentProfile((gamma,)), delta).exponent
+            assert e4 <= bounds.divergence_exponent(gamma, delta) + 1e-10
 
     def test_zero_delta(self):
-        rep = compare_e2_e4(MomentProfile((0.5,)), 0.5, 0.0)
-        assert rep.e2 == 0.0 and rep.e4 == 0.0
-
-    def test_gamma_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            compare_e2_e4(MomentProfile((0.5,)), 0.4, 0.5)
+        assert thm4_exponent(MomentProfile((0.5,)), 0.0).exponent == 0.0
+        assert bounds.divergence_exponent(0.5, 0.0) == 0.0
 
 
 class TestChungLu:
@@ -432,22 +437,34 @@ class TestMdp:
 
 
 class TestMcDiarmid:
+    """The m = 2 cap S(x) = 1 + gamma(e^x - 1 - x) against McDiarmid's exp of it.
+
+    Optimising delta*x - ln S(x) gives cor4; optimising delta*x minus the
+    exponent of McDiarmid's looser cap exp(gamma(e^x - 1 - x)) gives cor3.
+    """
+
     def test_at_zero(self):
-        assert mcdiarmid_mgf_compare(0.7, 0.0) == (1.0, 1.0)
+        assert cor4_exponent(0.7, 0.0).exponent == 0.0
+        assert cor3_exponent(spec_of(0.7), 0.0).exponent == 0.0
 
     def test_value(self):
-        tight, loose = mcdiarmid_mgf_compare(1.0, 1.0)
-        assert tight == pytest.approx(math.e - 1.0, abs=1e-13)
-        assert loose == pytest.approx(math.exp(math.e - 2.0), abs=1e-13)
+        # gamma = delta = 1: cor4 optimises at x = 1, where S(1) = e - 1;
+        # cor3 optimises at x = ln 2
+        tight = cor4_exponent(1.0, 1.0).exponent
+        loose = cor3_exponent(spec_of(1.0), 1.0).exponent
+        assert tight == pytest.approx(1.0 - math.log(math.e - 1.0), abs=1e-13)
+        assert loose == pytest.approx(2.0 * math.log(2.0) - 1.0, abs=1e-13)
+        assert tight > loose
 
     def test_ordering(self, rng):
         for _ in range(1000):
-            gamma = rng.uniform(0.0, 1.0)
-            x = rng.uniform(0.0, 6.0)
-            tight, loose = mcdiarmid_mgf_compare(gamma, x)
-            assert tight <= loose
-            if gamma > 0 and x > 0:
-                assert tight < loose
+            gamma = rng.uniform(0.01, 1.0)
+            delta = rng.uniform(0.0, 1.0)
+            tight = cor4_exponent(gamma, delta).exponent
+            loose = cor3_exponent(spec_of(gamma), delta).exponent
+            assert tight >= loose - 1e-12
+            if delta > 1e-3:
+                assert tight > loose
 
 
 class TestOrderingChains:

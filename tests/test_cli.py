@@ -377,3 +377,47 @@ class TestPrecisionFlag:
             capsys, "exponents", "--gamma", "0.5", "--precision", "22"
         )
         assert code == 2
+
+
+class TestJsonConfigShape:
+    @pytest.mark.parametrize(
+        "payload,argv",
+        [
+            ([0.5, 1.0], ("exponents", "--config")),
+            ({"gamma": 0.5}, ("exponents", "--config")),
+            ({"gamma": [0.5], "delta": 0.1}, ("exponents", "--config")),
+            ({"gamma": [None]}, ("exponents", "--config")),
+            ([1.0, -1.0], ("simulate", "--seed", "1", "--threshold", "1", "--law")),
+            (
+                {"values": 1.0, "probs": [1.0]},
+                ("simulate", "--seed", "1", "--threshold", "1", "--law"),
+            ),
+            ({"p1": 0.5, "p2": [0.5, 0.5]}, ("hypothesis", "--config")),
+            (
+                {"outputs": 2, "p0": [0.9, 0.1], "p1": [0.1, 0.9], "sym": [1, 0]},
+                ("pairwise", "--config"),
+            ),
+            (
+                {"n": 10, "lambda": 0.5, "rho": [1.0]},
+                ("ldpc", "--alpha", "0.1", "--config"),
+            ),
+        ],
+        ids=[
+            "exponents-list",
+            "exponents-scalar-gamma",
+            "exponents-scalar-delta",
+            "exponents-null-entry",
+            "simulate-list",
+            "simulate-scalar-values",
+            "hypothesis-scalar-p1",
+            "pairwise-scalar-outputs",
+            "ldpc-scalar-lambda",
+        ],
+    )
+    def test_malformed_config_is_config_error(self, capsys, tmp_path, payload, argv):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(payload))
+        code, out, err = run_cli(capsys, *argv, str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error:")

@@ -13,7 +13,6 @@ from tailforge.hyptest import (
     azuma_lower_bounds,
     bernoulli_family,
     chernoff_information,
-    divergence_cubic_lower,
     exact_exponents,
     fisher_information,
     fisher_limit_check,
@@ -86,6 +85,34 @@ class TestLogMgf:
         hs = [log_mgf_h(pair, t) for t in ts]
         for i in range(1, len(ts) - 1):
             assert hs[i] <= 0.5 * (hs[i - 1] + hs[i + 1]) + 1e-12
+
+    @pytest.mark.parametrize(
+        "p1, p2",
+        [
+            ((0.4, 0.6), (0.6, 0.4)),
+            ((0.9, 0.1), (0.2, 0.8)),
+            ((0.01, 0.99), (0.5, 0.5)),
+            ((0.2, 0.3, 0.5), (0.5, 0.3, 0.2)),
+            ((0.7, 0.2, 0.1), (0.1, 0.3, 0.6)),
+            ((0.05, 0.05, 0.9), (0.3, 0.4, 0.3)),
+        ],
+    )
+    def test_against_mpmath_over_wide_t(self, p1, p2):
+        # rate_function's bracket growth reaches |t| in the thousands
+        mpmath = pytest.importorskip("mpmath")
+        pair = HypothesisPair.from_probs(p1, p2)
+        ts = (1e4, -1e4, 300.0, -300.0, 50.0, -50.0, -3.0, -1.0)
+        ts += (0.25, 0.5, 0.75, 1.5, 4.0)
+        with mpmath.workdps(40):
+            a = [mpmath.mpf(x) for x in pair.p1.probs]
+            b = [mpmath.mpf(x) for x in pair.p2.probs]
+            for t in ts:
+                tm = mpmath.mpf(t)
+                want = mpmath.log(
+                    mpmath.fsum(x ** (1 - tm) * y**tm for x, y in zip(a, b))
+                )
+                got = log_mgf_h(pair, t)
+                assert abs(got - want) <= 1e-12 * abs(want), (t, got, want)
 
 
 class TestRateFunction:
@@ -224,19 +251,29 @@ class TestLowerBounds:
             assert lb.err_or_erasure <= lb.error + 1e-12
 
 
+def cubic_lower(gamma, delta):
+    """delta^2/(2 gamma) - delta^3/(6 gamma^2 (1+gamma)), the MDP bound's exponent."""
+    return delta**2 / (2.0 * gamma) - delta**3 / (6.0 * gamma**2 * (1.0 + gamma))
+
+
 class TestCubicLower:
-    def test_values(self):
-        assert divergence_cubic_lower(0.5, 0.0) == 0.0
-        assert divergence_cubic_lower(1.0, 1.0) == pytest.approx(
-            0.5 - 1.0 / 12.0, abs=1e-14
-        )
-        assert divergence_cubic_lower(1.0, 1.0) <= math.log(2)
+    def test_values(self, rng):
+        # the moderate-deviations bound is exp(-n * cubic(gamma1, delta_n))
+        for pair in [SWAP_PAIR] + [random_pair(rng) for _ in range(5)]:
+            mp = martingale_params(pair)
+            for n in (10**3, 10**4, 10**6):
+                eps1 = 0.5 * mp.d1
+                delta_n = eps1 * n ** (0.75 - 1.0) / mp.d1
+                res = moderate_deviation_hyptest(pair, eps1=eps1, eta=0.75, n=n)
+                assert -math.log(res.bound) == pytest.approx(
+                    n * cubic_lower(mp.gamma1, delta_n), rel=1e-12
+                )
 
     def test_below_divergence_grid(self):
         for gamma in np.linspace(0.05, 1.0, 100):
             for delta in np.linspace(0.0, 1.0, 100):
                 assert (
-                    divergence_cubic_lower(gamma, delta)
+                    cubic_lower(gamma, delta)
                     <= divergence_exponent(gamma, delta) + 1e-12
                 )
 

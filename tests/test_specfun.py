@@ -1,17 +1,14 @@
 """Scalar special functions against independent oracles.
 
 Oracles here never reuse the implementation path: power series partial
-sums for f(delta), brute-force bisection and scipy for the Lambert
-branches, the complementary error function for the Q-function, and exact
-rational arithmetic where values are rational.
+sums for f(delta), and brute-force bisection and scipy for the Lambert
+branches.
 """
 
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.special import erfc
 from scipy.special import lambertw as scipy_lambertw
 
 from tailforge.hyptest import LlrMartingale
@@ -24,8 +21,6 @@ from tailforge.specfun import (
     lambert_w0,
     lambert_w0_exparg,
     lambert_wm1,
-    phi_m,
-    q_function_envelope,
 )
 
 
@@ -41,15 +36,6 @@ def h2(x):
     if x in (0.0, 1.0):
         return 0.0
     return -(x * math.log2(x) + (1 - x) * math.log2(1 - x))
-
-
-def phi_series(m, y, terms=400):
-    """Independent oracle: sum_{l>=0} m! y^l / (m+l)!."""
-    total, term = 0.0, 1.0
-    for l in range(terms):
-        total += term
-        term *= y / (m + l + 1)
-    return total
 
 
 class TestBinaryDivergence:
@@ -170,41 +156,6 @@ class TestBigB:
             big_b(-0.5)
 
 
-class TestPhiM:
-    def test_at_zero(self):
-        assert phi_m(2, 0.0) == 1.0
-        assert phi_m(8, 0.0) == 1.0
-
-    def test_known_value(self):
-        assert phi_m(2, 1.0) == pytest.approx(2 * (math.e - 2), abs=1e-13)
-        assert phi_m(2, 1.0) == pytest.approx(phi_series(2, 1.0), abs=1e-13)
-
-    def test_negative_argument_in_unit_interval(self):
-        for m in (2, 4, 6, 10):
-            for y in (-0.5, -1.0, -5.0, -30.0, -200.0):
-                v = phi_m(m, y)
-                assert 0.0 < v < 1.0
-        assert phi_m(4, -1.0) == pytest.approx(phi_series(4, -1.0), rel=1e-10)
-
-    def test_monotone_on_nonnegatives(self):
-        for m in (2, 4, 8):
-            grid = np.linspace(0.0, 40.0, 200)
-            vals = [phi_m(m, y) for y in grid]
-            assert all(b >= a for a, b in zip(vals, vals[1:]))
-
-    def test_series_vs_direct_consistency(self):
-        # straddle the |y| <= m switch
-        for m in (2, 4):
-            for y in (m - 0.5, m + 0.5, -(m - 0.5), -(m + 0.5)):
-                assert phi_m(m, y) == pytest.approx(
-                    phi_series(m, y, terms=600), rel=1e-11
-                )
-
-    def test_odd_m_rejected(self):
-        with pytest.raises(ValueError):
-            phi_m(3, 1.0)
-
-
 def bisect_wm1(w, lo=-750.0, hi=-1.0):
     """Independent oracle for the lower Lambert branch."""
     f = lambda x: x * math.exp(x) - w
@@ -287,29 +238,6 @@ class TestLambert:
         for a in (800.0, 1e4, 1e8):
             x = lambert_w0_exparg(a)
             assert abs(x + math.log(x) - a) <= 1e-12 * max(1.0, a)
-
-
-class TestQFunctionEnvelope:
-    def test_values_at_one(self):
-        lo, hi = q_function_envelope(1.0)
-        assert lo == pytest.approx(0.120985, abs=1e-6)
-        assert hi == pytest.approx(0.241971, abs=1e-6)
-
-    def test_brackets_q(self):
-        for x in np.linspace(0.05, 8.0, 160):
-            q = 0.5 * erfc(x / math.sqrt(2))
-            lo, hi = q_function_envelope(x)
-            assert lo < q < hi
-
-    def test_ratio(self):
-        # upper/lower = (1 + x^2)/x^2 -> 1 as x grows
-        for x in (1.0, 2.0, 10.0, 25.0):
-            lo, hi = q_function_envelope(x)
-            assert hi / lo == pytest.approx((1 + x * x) / (x * x), rel=1e-12)
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(ValueError):
-            q_function_envelope(0.0)
 
 
 class TestConcurrencyPurity:

@@ -1,7 +1,6 @@
 """Exact-tail oracles, sandwich checks, Monte Carlo and their cross-validation."""
 
 import math
-import os
 import tracemalloc
 
 import numpy as np
@@ -10,7 +9,6 @@ from scipy.stats import binom
 
 from tailforge import validate
 from tailforge.validate import (
-    Example3Comparison,
     IncrementLaw,
     InfeasibleError,
     TailQuery,
