@@ -124,10 +124,6 @@ class ExponentValue:
         if base not in METHOD_TAGS:
             raise ValueError(f"unknown method tag {self.method!r}")
 
-    @property
-    def is_finite(self) -> bool:
-        return math.isfinite(self.exponent)
-
 
 def tail_bound(value: ExponentValue, n: int, two_sided: bool = True) -> float:
     """Probability bound min(1, c*exp(-n*E)); c = 2 two-sided, 1 one-sided.
@@ -291,7 +287,7 @@ def thm4_exponent(profile: MomentProfile, delta: float) -> ExponentValue:
     def objective(x: float) -> float:
         return _log_mgf_bound(profile, x) - delta * x
 
-    x, fmin, hit = minimize_on_ray(objective, ceiling, xtol=1e-12)
+    x, fmin, hit = minimize_on_ray(objective, ceiling)
     return ExponentValue(
         max(0.0, -fmin), method, {**params, "x": x, "at_ceiling": hit}
     )

@@ -66,8 +66,11 @@ def _emit(columns, rows, args, exponent_columns=()):
             + "\n"
         )
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(payload)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {args.out}: {exc}") from exc
     else:
         sys.stdout.write(payload)
 
@@ -257,7 +260,6 @@ def _pair_from_args(args) -> tuple[HypothesisPair, Thresholds]:
 def cmd_hypothesis(args) -> int:
     pair, thresholds = _pair_from_args(args)
     try:
-        thresholds.validate_for(pair)
         exact = hyptest.exact_exponents(pair, thresholds)
         refined = hyptest.refined_lower_bounds(pair, thresholds)
         azuma = hyptest.azuma_lower_bounds(pair, thresholds)

@@ -9,6 +9,7 @@ dimension of LDPC code ensembles.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -22,6 +23,7 @@ from .pmf import FinitePmf
 from .specfun import f_delta
 
 _SYM_TOL = 1e-12
+_GRID_FACTOR = 16  # OFDM crest factors are sampled on a 16n-point time grid
 
 
 @dataclass(frozen=True)
@@ -186,8 +188,13 @@ class LdpcEnsemble:
     rho_coeffs: tuple[float, ...]
 
     def __post_init__(self):
-        if self.n < 1:
+        try:
+            n = operator.index(self.n)
+        except TypeError:
+            raise ValueError(f"n must be an integer, got {self.n!r}") from None
+        if n < 1:
             raise ValueError("block length n must be >= 1")
+        object.__setattr__(self, "n", n)
         for name, coeffs in (("lambda", self.lambda_coeffs), ("rho", self.rho_coeffs)):
             coeffs = tuple(float(c) for c in coeffs)
             if not coeffs or any(c < 0.0 for c in coeffs):
@@ -213,7 +220,7 @@ class LdpcEnsemble:
         for key in ("n", "lambda", "rho"):
             if key not in obj:
                 raise ValueError(f"LDPC JSON missing field {key!r}")
-        return cls(int(obj["n"]), tuple(obj["lambda"]), tuple(obj["rho"]))
+        return cls(obj["n"], tuple(obj["lambda"]), tuple(obj["rho"]))
 
     @staticmethod
     def _integral(coeffs: Sequence[float]) -> float:
@@ -323,10 +330,10 @@ def ofdm_trig_identity(n: int, M: int) -> Fraction:
     return Fraction(4, n * M) * Fraction(M, 2)
 
 
-def _crest_factors(symbols: np.ndarray, grid_factor: int) -> np.ndarray:
-    """max_t |s(t)| over a grid_factor*n time grid, for rows of symbols."""
+def _crest_factors(symbols: np.ndarray) -> np.ndarray:
+    """max_t |s(t)| over a _GRID_FACTOR*n time grid, for rows of symbols."""
     n = symbols.shape[-1]
-    spectrum = np.fft.fft(symbols, n=grid_factor * n, axis=-1)
+    spectrum = np.fft.fft(symbols, n=_GRID_FACTOR * n, axis=-1)
     return np.max(np.abs(spectrum), axis=-1) / math.sqrt(n)
 
 
@@ -351,7 +358,6 @@ def ofdm_martingale_check(
     trials: int,
     seed: int,
     inner: int = 8,
-    grid_factor: int = 16,
 ) -> OfdmMartingaleReport:
     """Monte-Carlo check of the crest-factor martingale jump/variance caps.
 
@@ -385,7 +391,7 @@ def ofdm_martingale_check(
         block[:, 0, i - 1] = prefix[i - 1]
         block[:, 1:, i - 1] = points
         block[:, :, i:] = suffix_rows[:, None, :]
-        cf = _crest_factors(block.reshape(-1, n), grid_factor).reshape(inner, M + 1)
+        cf = _crest_factors(block.reshape(-1, n)).reshape(inner, M + 1)
         y_i = float(np.mean(cf[:, 0]))
         y_prev = float(np.mean(cf[:, 1:]))
         inc = abs(y_i - y_prev)

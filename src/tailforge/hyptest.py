@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._optim import golden_max, golden_min
+from ._optim import golden_min
 from .bounds import divergence_exponent
 from .pmf import FinitePmf
 
@@ -80,10 +80,6 @@ class HypothesisPair:
         symbols = tuple(range(len(p1)))
         return cls(FinitePmf(symbols, tuple(p1)), FinitePmf(symbols, tuple(p2)), priors)
 
-    def log_lr(self) -> np.ndarray:
-        """ln(P1(x)/P2(x)) per symbol."""
-        return self.mart12.llr
-
     @property
     def d12(self) -> float:
         """D(P1||P2) in nats."""
@@ -139,9 +135,9 @@ def rate_function(pair: HypothesisPair, r: float) -> float:
     V = ln(P2(X)/P1(X)) under P1; it vanishes at the mean -D(P1||P2), is
     convex, and is +inf outside [min V, max V].
     """
-    v = -pair.log_lr()
+    v = -pair.mart12.llr
     vmin, vmax = float(np.min(v)), float(np.max(v))
-    p1 = pair.p1.as_array()
+    p1 = pair.mart12.probs
     if r >= vmax:
         if r <= vmax + _EDGE_TOL:
             return -math.log(float(np.sum(p1[v >= vmax - _EDGE_TOL])))
@@ -159,13 +155,13 @@ def rate_function(pair: HypothesisPair, r: float) -> float:
         lo *= 2.0
     while objective(hi) > objective(hi - 1e-3) and hi < 1e6:
         hi *= 2.0
-    _, val = golden_max(objective, lo, hi, xtol=1e-12)
-    return max(0.0, val)
+    _, neg_sup = golden_min(lambda t: -objective(t), lo, hi)
+    return max(0.0, -neg_sup)
 
 
 def chernoff_information(pair: HypothesisPair) -> float:
     """C(P1, P2) = -min_{t in [0,1]} H(t); symmetric in the pair."""
-    _, hmin = golden_min(lambda t: log_mgf_h(pair, t), 0.0, 1.0, xtol=1e-12)
+    _, hmin = golden_min(lambda t: log_mgf_h(pair, t), 0.0, 1.0)
     return max(0.0, -hmin)
 
 
@@ -305,41 +301,23 @@ def azuma_lower_bounds(
     )
 
 
+@dataclass(frozen=True)
 class ParametricFamily:
-    """An indexed pmf family theta -> P_theta with optional exact derivative.
+    """An indexed pmf family theta -> P_theta with its exact derivative.
 
-    ``pmf_fn(theta)`` returns a FinitePmf; ``dpmf_fn(theta)``, when given,
-    returns dP_theta/dtheta as an array aligned with the alphabet.
-    Without it, derivatives fall back to central differences with step h
-    (relative error budget ~1e-6 for smooth families).
+    ``pmf(theta)`` returns a FinitePmf; ``dpmf(theta)`` returns
+    dP_theta/dtheta as an array aligned with the alphabet.
     """
 
-    def __init__(
-        self,
-        pmf_fn: Callable[[float], FinitePmf],
-        dpmf_fn: Optional[Callable[[float], np.ndarray]] = None,
-        h: float = 1e-5,
-    ):
-        self.pmf_fn = pmf_fn
-        self.dpmf_fn = dpmf_fn
-        self.h = h
-
-    def pmf(self, theta: float) -> FinitePmf:
-        return self.pmf_fn(theta)
-
-    def dpmf(self, theta: float) -> np.ndarray:
-        if self.dpmf_fn is not None:
-            return np.asarray(self.dpmf_fn(theta), dtype=float)
-        hi = self.pmf_fn(theta + self.h).as_array()
-        lo = self.pmf_fn(theta - self.h).as_array()
-        return (hi - lo) / (2.0 * self.h)
+    pmf: Callable[[float], FinitePmf]
+    dpmf: Callable[[float], np.ndarray]
 
 
 def bernoulli_family() -> ParametricFamily:
     """P_theta(1) = theta on {0, 1}, with exact derivative."""
     return ParametricFamily(
-        pmf_fn=lambda th: FinitePmf((0, 1), (1.0 - th, th)),
-        dpmf_fn=lambda th: np.array([-1.0, 1.0]),
+        pmf=lambda th: FinitePmf((0, 1), (1.0 - th, th)),
+        dpmf=lambda th: np.array([-1.0, 1.0]),
     )
 
 
@@ -352,7 +330,7 @@ def ternary_skewed_family(alpha: float) -> ParametricFamily:
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
 
-    def pmf_fn(th: float) -> FinitePmf:
+    def pmf(th: float) -> FinitePmf:
         if th <= 0.0:
             raise ValueError("theta must be positive")
         return FinitePmf(
@@ -360,17 +338,17 @@ def ternary_skewed_family(alpha: float) -> ParametricFamily:
             (th * (1.0 - alpha) / (1.0 + th), alpha, (1.0 - alpha) / (1.0 + th)),
         )
 
-    def dpmf_fn(th: float) -> np.ndarray:
+    def dpmf(th: float) -> np.ndarray:
         g = (1.0 - alpha) / (1.0 + th) ** 2
         return np.array([g, 0.0, -g])
 
-    return ParametricFamily(pmf_fn, dpmf_fn)
+    return ParametricFamily(pmf, dpmf)
 
 
 def fisher_information(family: ParametricFamily, theta: float) -> float:
     """J(theta) = sum_x P_theta(x) (d/dtheta ln P_theta(x))^2."""
     p = family.pmf(theta).as_array()
-    dp = family.dpmf(theta)
+    dp = np.asarray(family.dpmf(theta), dtype=float)
     mask = p > 0.0
     return float(np.sum(dp[mask] ** 2 / p[mask]))
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -45,15 +45,6 @@ class FinitePmf:
         object.__setattr__(self, "symbols", symbols)
         object.__setattr__(self, "probs", probs)
 
-    @classmethod
-    def uniform(cls, symbols: Sequence) -> "FinitePmf":
-        n = len(symbols)
-        return cls(tuple(symbols), (1.0 / n,) * n)
-
-    @property
-    def size(self) -> int:
-        return len(self.symbols)
-
     @property
     def strictly_positive(self) -> bool:
         return all(p > 0.0 for p in self.probs)
@@ -61,11 +52,8 @@ class FinitePmf:
     def as_array(self) -> np.ndarray:
         return np.asarray(self.probs, dtype=float)
 
-    def same_alphabet(self, other: "FinitePmf") -> bool:
-        return self.symbols == other.symbols
-
     def require_same_alphabet(self, other: "FinitePmf") -> None:
-        if not self.same_alphabet(other):
+        if self.symbols != other.symbols:
             raise AlphabetMismatchError(
                 f"alphabets differ: {self.symbols} vs {other.symbols}"
             )

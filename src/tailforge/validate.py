@@ -12,11 +12,9 @@ from __future__ import annotations
 
 import math
 import operator
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -254,36 +252,23 @@ def _wilson_interval(hits: int, trials: int) -> tuple[float, float]:
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("TAILFORGE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 _N_SHARDS = 16
 
 
-def monte_carlo_tail(
-    sampler, query: TailQuery, trials: int, seed: int, workers: Optional[int] = None
-) -> McTail:
+def monte_carlo_tail(sampler, query: TailQuery, trials: int, seed: int) -> McTail:
     """Seeded Monte Carlo estimate of the queried tail with Wilson 95% CI.
 
     ``sampler`` is an IncrementLaw or any callable (rng, n, size) -> sums.
-    Trials are always split across a fixed number of spawned generator
-    substreams and the per-shard hit counts summed, so the result depends
-    only on (sampler, query, trials, seed); the worker count (defaulting
-    to TAILFORGE_THREADS) changes wall time only. An IncrementLaw draws
-    with ``sample_sums``, whose blocked inverse-CDF sampler gives the same
-    sums bit for bit as ``rng.choice(values, size=(count, n), p=probs)
+    Trials are split across a fixed number of spawned generator substreams
+    and the per-shard hit counts summed, so the result depends only on
+    (sampler, query, trials, seed). An IncrementLaw draws with
+    ``sample_sums``, whose blocked inverse-CDF sampler gives the same sums
+    bit for bit as ``rng.choice(values, size=(count, n), p=probs)
     .sum(axis=1)`` on each shard's stream, in O(block) memory per shard
     beyond its ``count`` sums.
     """
     if trials < 100:
         raise ValueError("need at least 100 trials")
-    if workers is None:
-        workers = _worker_count()
     draw = sampler.sample_sums if isinstance(sampler, IncrementLaw) else sampler
     streams = np.random.default_rng(seed).spawn(_N_SHARDS)
     shares = [trials // _N_SHARDS] * _N_SHARDS
@@ -298,12 +283,7 @@ def monte_carlo_tail(
             return int(np.count_nonzero(np.abs(sums) >= query.threshold))
         return int(np.count_nonzero(sums >= query.threshold))
 
-    jobs = list(zip(streams, shares))
-    if workers == 1:
-        hits = sum(map(run, jobs))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            hits = sum(pool.map(run, jobs))
+    hits = sum(map(run, zip(streams, shares)))
     lo, hi = _wilson_interval(hits, trials)
     return McTail(estimate=hits / trials, lower=lo, upper=hi, trials=trials)
 

@@ -110,6 +110,17 @@ class TestExponentsCommand:
         assert code == 2
         assert "config error" in err
 
+    def test_unwritable_out_is_config_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.csv"
+        code, out, err = run_cli(
+            capsys, "exponents", "--gamma", "0.5", "--grid", "0:1:3",
+            "--out", str(target),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error: cannot write")
+        assert not target.exists()
+
     def test_grid_config_file(self, capsys, tmp_path):
         cfg = tmp_path / "grid.json"
         cfg.write_text(json.dumps({"gamma": [0.25, 0.5], "delta": [0.0, 0.5, 1.0]}))
@@ -401,6 +412,10 @@ class TestJsonConfigShape:
                 {"n": 10, "lambda": 0.5, "rho": [1.0]},
                 ("ldpc", "--alpha", "0.1", "--config"),
             ),
+            (
+                {"n": 1024.7, "lambda": [0, 0, 1], "rho": [0, 0, 0, 0, 0, 1]},
+                ("ldpc", "--alpha", "0.1", "--config"),
+            ),
         ],
         ids=[
             "exponents-list",
@@ -412,6 +427,7 @@ class TestJsonConfigShape:
             "hypothesis-scalar-p1",
             "pairwise-scalar-outputs",
             "ldpc-scalar-lambda",
+            "ldpc-fractional-n",
         ],
     )
     def test_malformed_config_is_config_error(self, capsys, tmp_path, payload, argv):

@@ -402,6 +402,8 @@ class TestLdpc:
             LdpcEnsemble.from_json({"n": 10, "lambda": [0.5, 0.4]})  # sums to 0.9
         with pytest.raises(ValueError):
             LdpcEnsemble.from_json({"n": 10})
+        with pytest.raises(ValueError, match="integer"):  # never truncated to 10
+            LdpcEnsemble.from_json({"n": 10.7, "lambda": [1.0], "rho": [1.0]})
 
 
 class TestOfdmBounds:

@@ -84,7 +84,7 @@ class TestKlDivergence:
     """D(P||Q) of two pmfs, formed by hyptest.LlrMartingale."""
 
     def test_uniform_identity(self):
-        u = FinitePmf.uniform(("a", "b", "c"))
+        u = FinitePmf(("a", "b", "c"), (1.0 / 3.0,) * 3)
         assert LlrMartingale.of(u, u).D == 0.0
 
     def test_two_point(self):
