@@ -190,8 +190,6 @@ def cor3_exponent(spec: MartingaleSpec, alpha: float) -> ExponentValue:
     Algebraically equals (delta^2 / 2 gamma) * B(delta/gamma).
     """
     gamma, delta = spec.gamma, spec.delta(alpha)
-    if delta == 0.0:
-        return ExponentValue(0.0, "cor3", {"gamma": gamma, "delta": delta})
     u = delta / gamma
     e = gamma * ((1.0 + u) * math.log1p(u) - u)
     return ExponentValue(e, "cor3", {"gamma": gamma, "delta": delta})
@@ -370,8 +368,6 @@ def chung_lu_exponent(gamma: float, delta: float) -> ExponentValue:
         raise ValueError("gamma must lie in (0, 1]")
     if delta < 0.0:
         raise ValueError("delta must be non-negative")
-    if delta == 0.0:
-        return ExponentValue(0.0, "chung_lu", {"gamma": gamma, "delta": delta})
     e = delta * delta / (2.0 * gamma + 2.0 * delta / 3.0)
     return ExponentValue(e, "chung_lu", {"gamma": gamma, "delta": delta})
 

@@ -71,15 +71,13 @@ class DmcChannel:
                     f"channel JSON field {key!r}: expected {len(outputs)} entries, "
                     f"got {len(obj[key])}"
                 )
-        try:
-            p0 = FinitePmf(outputs, tuple(float(v) for v in obj["p0"]))
-        except ValueError as exc:
-            raise ValueError(f"channel JSON field 'p0': {exc}") from exc
-        try:
-            p1 = FinitePmf(outputs, tuple(float(v) for v in obj["p1"]))
-        except ValueError as exc:
-            raise ValueError(f"channel JSON field 'p1': {exc}") from exc
-        return cls(outputs, p0, p1, tuple(int(i) for i in obj["sym"]))
+        rows = []
+        for key in ("p0", "p1"):
+            try:
+                rows.append(FinitePmf(outputs, tuple(float(v) for v in obj[key])))
+            except ValueError as exc:
+                raise ValueError(f"channel JSON field {key!r}: {exc}") from exc
+        return cls(outputs, *rows, tuple(int(i) for i in obj["sym"]))
 
 
 def q_ary_channel(q: int, p: float) -> DmcChannel:
@@ -189,6 +187,8 @@ class LdpcEnsemble:
 
     def __post_init__(self):
         try:
+            if isinstance(self.n, bool):
+                raise TypeError
             n = operator.index(self.n)
         except TypeError:
             raise ValueError(f"n must be an integer, got {self.n!r}") from None
@@ -259,7 +259,7 @@ def ldpc_cycles_bound(ensemble: LdpcEnsemble, alpha: float) -> LdpcCyclesBound:
     rd = ensemble.design_rate
     ar = ensemble.avg_right_degree
     beta = alpha / ((1.0 - rd) * ar)
-    bound = 0.0 if beta > 1.0 else 2.0 * math.exp(-ensemble.n * f_delta(beta))
+    bound = 2.0 * math.exp(-ensemble.n * f_delta(beta))  # f = inf beyond beta = 1
     azuma = 2.0 * math.exp(-(beta**2) * ensemble.n / 2.0)
     return LdpcCyclesBound(
         beta=beta,

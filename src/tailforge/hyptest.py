@@ -269,35 +269,36 @@ class LowerBoundPair:
     error: float
 
 
+def _lower_bounds(
+    pair: HypothesisPair,
+    thresholds: Optional[Thresholds],
+    exponent: Callable[[float, float], float],
+) -> LowerBoundPair:
+    """min over i of exponent(gamma_i, delta_ij) for each of the two events."""
+    mp = martingale_params(pair, thresholds)
+    return LowerBoundPair(
+        err_or_erasure=min(
+            exponent(mp.gamma1, mp.delta11), exponent(mp.gamma2, mp.delta21)
+        ),
+        error=min(exponent(mp.gamma1, mp.delta12), exponent(mp.gamma2, mp.delta22)),
+    )
+
+
 def refined_lower_bounds(
     pair: HypothesisPair, thresholds: Optional[Thresholds] = None
 ) -> LowerBoundPair:
     """Divergence-exponent lower bounds min_i D((delta_ij+gamma_i)/(1+gamma_i)||...)."""
-    mp = martingale_params(pair, thresholds)
-    return LowerBoundPair(
-        err_or_erasure=min(
-            divergence_exponent(mp.gamma1, mp.delta11),
-            divergence_exponent(mp.gamma2, mp.delta21),
-        ),
-        error=min(
-            divergence_exponent(mp.gamma1, mp.delta12),
-            divergence_exponent(mp.gamma2, mp.delta22),
-        ),
-    )
+    return _lower_bounds(pair, thresholds, divergence_exponent)
 
 
 def azuma_lower_bounds(
     pair: HypothesisPair, thresholds: Optional[Thresholds] = None
 ) -> LowerBoundPair:
     """Azuma-loosened lower bounds min_i delta_ij^2 / 2."""
-    mp = martingale_params(pair, thresholds)
-
-    def half_sq(delta: float) -> float:
-        return math.inf if delta > 1.0 else delta * delta / 2.0
-
-    return LowerBoundPair(
-        err_or_erasure=min(half_sq(mp.delta11), half_sq(mp.delta21)),
-        error=min(half_sq(mp.delta12), half_sq(mp.delta22)),
+    return _lower_bounds(
+        pair,
+        thresholds,
+        lambda _gamma, delta: math.inf if delta > 1.0 else delta * delta / 2.0,
     )
 
 

@@ -86,8 +86,6 @@ def big_b(u: float) -> float:
             u = 0.0
         else:
             raise ValueError("u must be non-negative")
-    if u == 0.0:
-        return 1.0
     if u < 1e-3:
         total, term, k = 0.0, 2.0, 0
         while True:
@@ -138,8 +136,6 @@ def lambert_w0(w: float) -> float:
         if w >= -INV_E - BOUNDARY_CLAMP:
             return -1.0
         raise ValueError(f"w={w} is below the branch point -1/e")
-    if w == 0.0:
-        return 0.0
     if w < -0.3:
         x = _branch_point_series(w, principal=True)
         if 2.0 * (1.0 + math.e * w) < 1e-12:

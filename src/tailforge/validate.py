@@ -123,6 +123,8 @@ class TailQuery:
 
     def __post_init__(self):
         try:
+            if isinstance(self.n, bool):
+                raise TypeError
             n = operator.index(self.n)
         except TypeError:
             raise ValueError(f"n must be an integer, got {self.n!r}") from None
@@ -205,7 +207,8 @@ def types_sandwich_check(p: float, n: int, r: float) -> SandwichTriple:
     """Method-of-types sandwich for i.i.d. Bernoulli(p), p <= r <= 1.
 
     r is rounded up to the type lattice k/n; exact is the binomial upper
-    tail P(S >= k) computed with exact binomial coefficients.
+    tail P(S >= k) computed with exact binomial coefficients. A coefficient
+    above the float range (possible once n >= 1030) raises InfeasibleError.
     """
     if not 0.0 < p <= 0.5:
         raise ValueError("p must lie in (0, 1/2]")
@@ -215,9 +218,15 @@ def types_sandwich_check(p: float, n: int, r: float) -> SandwichTriple:
         raise ValueError("r must lie in [p, 1]")
     k0 = math.ceil(Fraction(r) * n)
     r_eff = k0 / n
-    exact = math.fsum(
-        math.comb(n, k) * p**k * (1.0 - p) ** (n - k) for k in range(k0, n + 1)
-    )
+    try:
+        exact = math.fsum(
+            math.comb(n, k) * p**k * (1.0 - p) ** (n - k) for k in range(k0, n + 1)
+        )
+    except OverflowError:
+        raise InfeasibleError(
+            f"n={n}: a binomial coefficient C(n, k) exceeds the float range "
+            "(every one fits for n <= 1029)"
+        ) from None
     if k0 == n:
         # boundary cell: e^{-n D(1||p)} = p^n exactly; evaluate it as such
         # so the float sandwich is not broken by exp/log round-off
@@ -276,8 +285,6 @@ def monte_carlo_tail(sampler, query: TailQuery, trials: int, seed: int) -> McTai
 
     def run(args) -> int:
         rng, count = args
-        if count == 0:
-            return 0
         sums = draw(rng, query.n, count)
         if query.two_sided:
             return int(np.count_nonzero(np.abs(sums) >= query.threshold))

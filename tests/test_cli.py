@@ -416,6 +416,10 @@ class TestJsonConfigShape:
                 {"n": 1024.7, "lambda": [0, 0, 1], "rho": [0, 0, 0, 0, 0, 1]},
                 ("ldpc", "--alpha", "0.1", "--config"),
             ),
+            (
+                {"n": True, "lambda": [0, 0, 1], "rho": [0, 0, 0, 0, 0, 1]},
+                ("ldpc", "--alpha", "0.1", "--config"),
+            ),
         ],
         ids=[
             "exponents-list",
@@ -428,6 +432,7 @@ class TestJsonConfigShape:
             "pairwise-scalar-outputs",
             "ldpc-scalar-lambda",
             "ldpc-fractional-n",
+            "ldpc-bool-n",
         ],
     )
     def test_malformed_config_is_config_error(self, capsys, tmp_path, payload, argv):
@@ -437,3 +442,46 @@ class TestJsonConfigShape:
         assert code == 2
         assert out == ""
         assert err.startswith("config error:")
+
+
+class TestPerCommandFlags:
+    """Each subcommand parses only the shared flags it reads."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("exponents", "--gamma", "0.5", "--grid", "0:1:3", "--seed", "1"),
+            ("pairwise", "--qary", "2", "0.04", "--seed", "1"),
+            ("hypothesis", "--p1", "0.4,0.6", "--p2", "0.6,0.4", "--seed", "1"),
+            ("ldpc", "--regular", "3,6", "--alpha", "0.1", "--seed", "1"),
+            ("ldpc", "--regular", "3,6", "--alpha", "0.1", "--units", "bits"),
+            ("ofdm", "--n", "8", "--alpha", "2", "--config", "x.json"),
+            ("ofdm", "--n", "8", "--alpha", "2", "--units", "bits"),
+            (
+                "simulate", "--seed", "1", "--k", "20", "--trials", "100",
+                "--config", "perfbench/inputs/law3.json",
+            ),
+            (
+                "simulate", "--seed", "1", "--k", "20", "--trials", "100",
+                "--units", "bits",
+            ),
+        ],
+        ids=[
+            "exponents-seed",
+            "pairwise-seed",
+            "hypothesis-seed",
+            "ldpc-seed",
+            "ldpc-units",
+            "ofdm-config",
+            "ofdm-units",
+            "simulate-config",
+            "simulate-units",
+        ],
+    )
+    def test_unread_flag_is_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2
+        assert out == ""
+        assert "unrecognized arguments" in err

@@ -404,6 +404,8 @@ class TestLdpc:
             LdpcEnsemble.from_json({"n": 10})
         with pytest.raises(ValueError, match="integer"):  # never truncated to 10
             LdpcEnsemble.from_json({"n": 10.7, "lambda": [1.0], "rho": [1.0]})
+        with pytest.raises(ValueError, match="integer"):  # a JSON true is not n = 1
+            LdpcEnsemble.from_json({"n": True, "lambda": [1.0], "rho": [1.0]})
 
 
 class TestOfdmBounds:

@@ -42,7 +42,7 @@ class TestLawValidation:
 
 
 class TestTailQuery:
-    @pytest.mark.parametrize("n", [10.5, 10.0, "10"])
+    @pytest.mark.parametrize("n", [10.5, 10.0, "10", True])
     def test_non_integer_n_rejected(self, n):
         with pytest.raises(ValueError):
             TailQuery(n=n, threshold=1.0)
@@ -160,6 +160,14 @@ class TestSandwich:
         # r > 1 is an impossible event, not the k = n cell
         with pytest.raises(ValueError):
             types_sandwich_check(0.3, 20, r)
+
+    def test_binomial_beyond_float_range_is_infeasible(self):
+        # C(1100, 550) exceeds the largest double; C(1000, k) never does
+        with pytest.raises(InfeasibleError, match="1029"):
+            types_sandwich_check(0.3, 1100, 0.5)
+        res = types_sandwich_check(0.3, 1000, 0.5)
+        assert res.exact == pytest.approx(float(binom.sf(499, 1000, 0.3)), rel=1e-9)
+        assert res.lower <= res.exact <= res.upper
 
     def test_r_equal_p(self):
         res = types_sandwich_check(0.5, 16, 0.5)
