@@ -281,7 +281,12 @@ def cmd_ldpc(args) -> int:
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
     elif args.regular:
-        dv, dc = (int(v) for v in args.regular.split(","))
+        try:
+            dv, dc = (int(v) for v in args.regular.split(","))
+        except ValueError:
+            raise ConfigError(
+                f"--regular wants DV,DC (two integers), got {args.regular!r}"
+            ) from None
         ens = codingapps.LdpcEnsemble.regular(args.n, dv, dc)
     else:
         raise ConfigError("need --config LDPC.json or --regular DV,DC")

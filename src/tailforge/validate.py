@@ -4,8 +4,8 @@ Exact tail probabilities for sums of i.i.d. finite-support zero-mean
 increments are computed by an array DP over the sums' integer lattice keys:
 an exact integer value lattice (rational supports) or a 1e-12-quantized
 lattice (irrational supports, worst-case threshold error n*1e-12). Its size
-is capped by the number of lattice states it can hold. These serve as
-oracles proving the analytic bounds valid on small instances.
+is capped by the entries it holds and by the work of its n rounds. These
+serve as oracles proving the analytic bounds valid on small instances.
 """
 
 from __future__ import annotations
@@ -24,7 +24,14 @@ from .specfun import binary_divergence
 
 _RATIONAL_DENOM_CAP = 10**6
 _QUANT = 10**12  # fallback value grid: 1e-12 bins
-_STATE_CAP = 5_000_000
+_STATE_CAP = 5_000_000  # lattice entries the DP may hold
+# n * support size * entries held; on one Xeon core the dense kernel made
+# 9.2e9 updates in 4.0 s and the sorted merge 2e8 in 4.5 s
+_WORK_CAP = 10**10
+# dense kernel while the lattice width is at most this times the reachable
+# states: on two-point laws at n = 3000 it is 4x faster than the sorted
+# merge at steps (19, -1) (width/states 20) and 1.8x slower at (99, -1) (100)
+_DENSE_FACTOR = 32
 _SAMPLE_BLOCK = 2**14  # Monte Carlo cells drawn per block in sample_sums
 _WILSON_Z = 1.959963984540054  # 95% normal quantile
 
@@ -130,6 +137,8 @@ class TailQuery:
             raise ValueError(f"n must be an integer, got {self.n!r}") from None
         if n < 1:
             raise ValueError("n must be >= 1")
+        if not math.isfinite(self.threshold):
+            raise ValueError(f"threshold must be finite, got {self.threshold!r}")
         object.__setattr__(self, "n", n)
 
 
@@ -145,21 +154,76 @@ def _integer_lattice(values: Sequence[float]):
     return [int(f * denom) for f in fracs], denom
 
 
+def _sparse_rounds(steps: list, probs: Sequence[float], n: int):
+    """Keys (descending) and probabilities of S_n by a sorted merge per round.
+
+    Each round adds every step to every key and merges equal sums with
+    np.unique/np.bincount. bincount adds the terms of each key in input
+    order; keys descend, so each key meets its terms in ascending step
+    order. Keys are int64 while n*max|step| < 2**62 and exact Python ints
+    (dtype=object) beyond.
+    """
+    dtype = np.int64 if n * max(map(abs, steps)) < 2**62 else object
+    step_keys, step_probs = np.array(steps, dtype=dtype), np.array(probs)
+    keys, dist = np.zeros(1, dtype=dtype), np.ones(1)
+    for _ in range(n):
+        sums = (keys[:, None] + step_keys).ravel()
+        keys, merge = np.unique(sums, return_inverse=True)
+        dist = np.bincount(merge, weights=(dist[:, None] * step_probs).ravel())
+        keys, dist = keys[::-1], dist[::-1]
+    return keys, dist
+
+
+def _dense_rounds(steps: list, probs: Sequence[float], n: int):
+    """Keys (ascending) and probabilities of S_n on the whole lattice width.
+
+    dist[i] holds key n*min(steps) + i. Each round adds p*dist into a
+    slice shifted by step - min(steps), once per step in ascending step
+    order (ties in support order), so every key adds the same terms in the
+    same order as ``_sparse_rounds``; keys it never reaches hold exact zeros.
+    Two buffers of the final width swap roles each round; a third holds
+    the products.
+    """
+    lo = min(steps)
+    span = max(steps) - lo
+    first, *rest = sorted(range(len(steps)), key=steps.__getitem__)
+    cur, nxt, term = (np.empty(n * span + 1) for _ in range(3))
+    cur[0] = 1.0
+    for r in range(n):
+        w = r * span + 1  # lattice width after r rounds
+        src, t = cur[:w], term[:w]
+        np.multiply(src, probs[first], out=nxt[:w])  # shift 0, where 0.0 + t is t
+        nxt[w : w + span] = 0.0
+        for j in rest:
+            np.multiply(src, probs[j], out=t)
+            nxt[steps[j] - lo : steps[j] - lo + w] += t
+        cur, nxt = nxt, cur
+    return n * lo + np.arange(n * span + 1), cur
+
+
 def exact_tail_dp(law: IncrementLaw, query: TailQuery) -> float:
     """Exact tail of S_n = sum of n i.i.d. increments by lattice convolution.
 
     Rational supports (denominators up to 1e6) use an exact integer
     lattice, so threshold comparisons are exact; other supports are
-    quantized to a 1e-12 grid. Each of the n rounds adds every step to
-    every lattice key and merges equal sums with np.unique/np.bincount.
-    Keys are held in descending order, which fixes the order in which each
-    merged float64 probability adds its terms. Keys are int64 while
-    n*max|step| < 2**62 and exact Python ints (dtype=object) beyond. With s
-    support points the DP holds at most
-    min(comb(n+s-1, s-1), n*(max step - min step) + 1) keys; InfeasibleError
-    is raised only when that exceeds the state cap. The cap bounds memory,
-    not time: each round sorts states*s candidate sums, so time grows like
-    n*states*log(states): {+-1, +-1/2} at n = 5000 took 10 s on one Xeon core.
+    quantized to a 1e-12 grid. With s support points, S_n takes at most
+    comb(n+s-1, s-1) values on a lattice of width n*(max step - min step)
+    + 1. Two kernels hold the distribution:
+
+    - dense (``_dense_rounds``), when the width is at most _DENSE_FACTOR
+      times the comb term and at most _STATE_CAP: an array over the whole
+      width, one shifted multiply-add per step and round;
+    - sparse (``_sparse_rounds``) otherwise, e.g. quantized supports
+      (width about n*1e12) or the two-point law at eps = 0.01 (steps
+      99, -1: width 100n+1 against n+1 values): only reachable keys, one
+      np.unique sort of states*s candidate sums per round.
+
+    Both add each key's float64 terms in ascending step order and the
+    dense kernel's extra keys are exact zeros, which math.fsum ignores, so
+    the two give bit-identical tails. InfeasibleError is raised before any
+    round when the entries held (the width if dense, else the smaller of
+    the two bounds) exceed _STATE_CAP, which bounds memory, or when
+    n * s * entries held exceeds _WORK_CAP, which bounds time.
     """
     n = query.n
     lattice = _integer_lattice(law.values)
@@ -171,21 +235,18 @@ def exact_tail_dp(law: IncrementLaw, query: TailQuery) -> float:
         thresh = Fraction(round(query.threshold * _QUANT))
 
     s = len(steps)
-    states = min(math.comb(n + s - 1, s - 1), n * (max(steps) - min(steps)) + 1)
-    if states > _STATE_CAP:
+    width = n * (max(steps) - min(steps)) + 1
+    comb = math.comb(n + s - 1, s - 1)
+    dense = width <= min(_DENSE_FACTOR * comb, _STATE_CAP)
+    held = width if dense else min(comb, width)
+    work = n * s * held
+    if held > _STATE_CAP or work > _WORK_CAP:
         raise InfeasibleError(
-            f"support {s}, n={n}: {states} lattice states exceeds cap"
+            f"support {s}, n={n}: {held} lattice entries and {work} updates "
+            f"exceed the caps ({_STATE_CAP} entries, {_WORK_CAP} updates)"
         )
 
-    dtype = np.int64 if n * max(map(abs, steps)) < 2**62 else object
-    step_keys, step_probs = np.array(steps, dtype=dtype), np.array(law.probs)
-    keys, dist = np.zeros(1, dtype=dtype), np.ones(1)
-    for _ in range(n):
-        sums = (keys[:, None] + step_keys).ravel()
-        keys, merge = np.unique(sums, return_inverse=True)
-        dist = np.bincount(merge, weights=(dist[:, None] * step_probs).ravel())
-        keys, dist = keys[::-1], dist[::-1]
-
+    keys, dist = (_dense_rounds if dense else _sparse_rounds)(steps, law.probs, n)
     upper = math.fsum(dist[keys >= math.ceil(thresh)])
     if not query.two_sided:
         return min(1.0, upper)

@@ -284,6 +284,8 @@ class TestLdpcCommand:
             (("--regular", "0,6"), "degrees"),
             (("--regular", "3,0"), "degrees"),
             (("--regular", "3,6", "--n", "0"), "block length"),
+            (("--regular", "3"), "--regular wants DV,DC"),
+            (("--regular", "3,x"), "--regular wants DV,DC"),
         ],
     )
     def test_bad_regular_ensemble_is_config_error(self, capsys, argv, message):
@@ -367,6 +369,18 @@ class TestSimulateCommand:
         )
         assert code == 3
         assert "numerical failure" in err
+
+    @pytest.mark.parametrize("threshold", ["inf", "1e400", "nan"])
+    def test_non_finite_threshold_is_config_error(self, capsys, tmp_path, threshold):
+        cfg = tmp_path / "law.json"
+        cfg.write_text(json.dumps({"values": [1.0, -1.0], "probs": [0.5, 0.5]}))
+        code, out, err = run_cli(
+            capsys, "simulate", "--law", str(cfg), "--k", "10",
+            "--threshold", threshold, "--seed", "1",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error:") and "threshold must be finite" in err
 
     def test_determinism_to_file(self, capsys, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"

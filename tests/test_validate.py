@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -46,6 +47,11 @@ class TestTailQuery:
     def test_non_integer_n_rejected(self, n):
         with pytest.raises(ValueError):
             TailQuery(n=n, threshold=1.0)
+
+    @pytest.mark.parametrize("threshold", [math.inf, -math.inf, math.nan])
+    def test_non_finite_threshold_rejected(self, threshold):
+        with pytest.raises(ValueError, match="threshold must be finite"):
+            TailQuery(n=10, threshold=threshold)
 
     def test_integer_like_n_accepted(self):
         q = TailQuery(n=np.int64(12), threshold=1.0)
@@ -119,6 +125,23 @@ class TestExactTailDp:
         with pytest.raises(InfeasibleError):
             exact_tail_dp(law, TailQuery(700_000, 1.0))
 
+    def test_work_cap(self):
+        # 8n + 1 = 4800001 entries fit the state cap, but 600000 rounds of
+        # 6 steps over them would take hours: refused before any round
+        law = IncrementLaw(
+            (1.0, 0.5, 0.25, -0.25, -0.5, -1.0), (1 / 6.0,) * 6
+        )
+        with pytest.raises(InfeasibleError, match="updates"):
+            exact_tail_dp(law, TailQuery(600_000, 1.0))
+
+    def test_within_work_cap(self):
+        # 4 steps over 20001 entries for 5000 rounds: well inside both caps
+        law = IncrementLaw((1.0, 0.5, -0.5, -1.0), (0.25,) * 4)
+        one = exact_tail_dp(law, TailQuery(5000, 50.0))
+        two = exact_tail_dp(law, TailQuery(5000, 50.0, two_sided=True))
+        assert 0.0 < one < 0.5
+        assert two == pytest.approx(2 * one, rel=1e-12)
+
     @pytest.mark.parametrize(
         "values,scale,n",
         [
@@ -146,6 +169,102 @@ class TestExactTailDp:
             want = dense[sums >= k].sum() + dense[sums <= -k].sum()
             assert got == pytest.approx(min(1.0, want), rel=1e-12)
         assert exact_tail_dp(law, TailQuery(n, 1e30)) == 0.0
+
+
+def _sparse_rounds_reference(steps, probs, n):
+    """The np.unique/np.bincount merge, kept here as the reference kernel."""
+    step_keys, step_probs = np.array(steps, dtype=np.int64), np.array(probs)
+    keys, dist = np.zeros(1, dtype=np.int64), np.ones(1)
+    for _ in range(n):
+        sums = (keys[:, None] + step_keys).ravel()
+        keys, merge = np.unique(sums, return_inverse=True)
+        dist = np.bincount(merge, weights=(dist[:, None] * step_probs).ravel())
+        keys, dist = keys[::-1], dist[::-1]
+    return keys, dist
+
+
+def _reference_tail(law, query):
+    lattice = validate._integer_lattice(law.values)
+    if lattice is not None:
+        steps, denom = lattice
+        thresh = Fraction(query.threshold) * denom
+    else:
+        steps = [round(v * validate._QUANT) for v in law.values]
+        thresh = Fraction(round(query.threshold * validate._QUANT))
+    keys, dist = _sparse_rounds_reference(steps, law.probs, query.n)
+    upper = math.fsum(dist[keys >= math.ceil(thresh)])
+    if not query.two_sided:
+        return min(1.0, upper)
+    return min(1.0, upper + math.fsum(dist[keys <= math.floor(-thresh)]))
+
+
+def _two_point_exact(eps):
+    return IncrementLaw((1.0, float(-eps / (1 - eps))), (float(eps), float(1 - eps)))
+
+
+_IRRATIONAL_EPS = 1.0 / (2.0 + math.sqrt(2.0))
+DP_LAWS = {  # every oracle_certify exact-cell law, then the edge cases
+    **{f"two_point_{e}": _two_point_exact(Fraction(1, e)) for e in (20, 10, 4, 2)},
+    **{f"bernoulli_{p}": bernoulli_centered_increment(p) for p in (0.1, 0.3, 0.5)},
+    "pm1": PM_ONE,
+    "three_point": IncrementLaw((1.0, 0.0, -1.0), (0.25, 0.5, 0.25)),
+    "four_third": IncrementLaw((1.0, 1 / 3, -1 / 3, -1.0), (0.25,) * 4),
+    "four_half": IncrementLaw((1.0, 0.5, -0.5, -1.0), (0.25,) * 4),
+    "irrational": two_point_increment(1.0, _IRRATIONAL_EPS),
+    "unsorted": IncrementLaw((-0.5, 1.0, 0.0, -1.0, 0.5), (0.2, 0.15, 0.15, 0.2, 0.3)),
+    "zero_prob": IncrementLaw((2.0, 1.0, -1.0), (0.0, 0.5, 0.5)),
+    # two floats that share the lattice step 1 (denominator 3): ties keep
+    # support order
+    "tied_steps": IncrementLaw(
+        (1 / 3, math.nextafter(1 / 3, 1.0), -2 / 3), (0.25, 5 / 12, 1 / 3)
+    ),
+    "point": IncrementLaw((0.0,), (1.0,)),
+    "two_point_99": two_point_increment(1.0, 0.01),
+}
+SPARSE_LAWS = {"irrational", "two_point_99"}
+
+
+class TestDenseKernel:
+    """The dense kernel reproduces the sparse merge bit for bit."""
+
+    @pytest.fixture
+    def kernels(self, monkeypatch):
+        used = []
+        for name in ("_dense_rounds", "_sparse_rounds"):
+            def record(*args, _name=name, _kernel=getattr(validate, name)):
+                used.append(_name)
+                return _kernel(*args)
+
+            monkeypatch.setattr(validate, name, record)
+        return used
+
+    @pytest.mark.parametrize("label", DP_LAWS)
+    @pytest.mark.parametrize("n", [1, 9, 64, 250])
+    def test_tails_bit_identical_to_sparse_merge(self, kernels, label, n):
+        law = DP_LAWS[label]
+        for x in (0.0, 0.1, 0.37, 1.0):
+            for two_sided in (False, True):
+                q = TailQuery(n, x * law.d * n, two_sided=two_sided)
+                got, want = exact_tail_dp(law, q), _reference_tail(law, q)
+                assert got.hex() == want.hex(), (x, two_sided)
+        kernel = "_sparse_rounds" if label in SPARSE_LAWS else "_dense_rounds"
+        assert set(kernels) == {kernel}
+
+    @pytest.mark.parametrize(
+        "label", [k for k in DP_LAWS if k not in SPARSE_LAWS]
+    )
+    def test_distribution_bit_identical(self, label):
+        law = DP_LAWS[label]
+        steps, _ = validate._integer_lattice(law.values)
+        n = 120
+        keys, dist = validate._dense_rounds(steps, law.probs, n)
+        want_keys, want = _sparse_rounds_reference(steps, law.probs, n)
+        assert np.array_equal(keys, np.arange(keys[0], keys[0] + keys.size))
+        got = dist[want_keys - keys[0]]
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        unreached = np.ones(dist.size, dtype=bool)
+        unreached[want_keys - keys[0]] = False
+        assert not dist[unreached].any()
 
 
 class TestSandwich:
