@@ -276,6 +276,8 @@ def cmd_hypothesis(args) -> int:
 
 def cmd_ldpc(args) -> int:
     if args.config:
+        if args.n is not None:
+            raise ConfigError("--n applies only to --regular")
         try:
             ens = codingapps.LdpcEnsemble.from_json(_load_json(args.config))
         except (TypeError, ValueError) as exc:
@@ -287,7 +289,8 @@ def cmd_ldpc(args) -> int:
             raise ConfigError(
                 f"--regular wants DV,DC (two integers), got {args.regular!r}"
             ) from None
-        ens = codingapps.LdpcEnsemble.regular(args.n, dv, dc)
+        n = 1024 if args.n is None else args.n
+        ens = codingapps.LdpcEnsemble.regular(n, dv, dc)
     else:
         raise ConfigError("need --config LDPC.json or --regular DV,DC")
     res = codingapps.ldpc_cycles_bound(ens, args.alpha)
@@ -334,15 +337,22 @@ def cmd_simulate(args) -> int:
     if args.seed is None:
         raise ConfigError("simulate requires --seed")
     if args.law == "twopoint":
-        comp = validate.example3_comparison(args.eps, args.d, args.x, args.k)
-        law = validate.two_point_increment(args.d, args.eps)
-        query = TailQuery(n=args.k, threshold=args.x * args.k, two_sided=False)
+        if args.threshold is not None or args.two_sided:
+            raise ConfigError("--threshold and --two-sided apply only to a --law file")
+        eps = 0.01 if args.eps is None else args.eps
+        d = 1.0 if args.d is None else args.d
+        x = 0.5 if args.x is None else args.x
+        comp = validate.example3_comparison(eps, d, x, args.k)
+        law = validate.two_point_increment(d, eps)
+        query = TailQuery(n=args.k, threshold=x * args.k, two_sided=False)
         rows = [
             {"quantity": "azuma_bound", "value": comp.azuma},
             {"quantity": "thm2_bound", "value": comp.thm2},
             {"quantity": "exact_tail", "value": comp.exact},
         ]
     else:
+        if (args.eps, args.d, args.x) != (None, None, None):
+            raise ConfigError("--eps, --d and --x apply only to the two-point law")
         cfg = _load_json(args.law)
         try:
             law = validate.IncrementLaw(tuple(cfg["values"]), tuple(cfg["probs"]))
@@ -350,9 +360,7 @@ def cmd_simulate(args) -> int:
             raise ConfigError(f"increment-law JSON: {exc}") from exc
         if args.threshold is None:
             raise ConfigError("custom law simulation requires --threshold")
-        query = TailQuery(
-            n=args.k, threshold=args.threshold, two_sided=args.two_sided
-        )
+        query = TailQuery(n=args.k, threshold=args.threshold, two_sided=args.two_sided)
         rows = [{"quantity": "exact_tail", "value": validate.exact_tail_dp(law, query)}]
     mc = validate.monte_carlo_tail(law, query, args.trials, args.seed)
     rows += [
@@ -422,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--config", help="LDPC ensemble JSON")
     p.add_argument("--regular", help="regular ensemble DV,DC")
-    p.add_argument("--n", type=int, default=1024, help="block length for --regular")
+    p.add_argument("--n", type=int, help="block length for --regular (default 1024)")
     p.add_argument("--alpha", type=float, required=True)
     p.set_defaults(func=cmd_ldpc)
 
@@ -444,9 +452,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="twopoint",
         help="'twopoint' or a JSON file with values/probs",
     )
-    p.add_argument("--eps", type=float, default=0.01)
-    p.add_argument("--d", type=float, default=1.0)
-    p.add_argument("--x", type=float, default=0.5)
+    p.add_argument("--eps", type=float, help="two-point law (default 0.01)")
+    p.add_argument("--d", type=float, help="two-point law (default 1)")
+    p.add_argument("--x", type=float, help="two-point law (default 0.5)")
     p.add_argument("--k", type=int, default=20)
     p.add_argument("--threshold", type=float)
     p.add_argument("--two-sided", action="store_true")

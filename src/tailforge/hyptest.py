@@ -16,11 +16,11 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._optim import golden_min
 from .bounds import divergence_exponent
 from .pmf import FinitePmf
 
 _EDGE_TOL = 1e-12
+_T_TOL = 1e-10  # Newton stops at a step or bracket this small, times max(1, |t|)
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,16 +116,24 @@ class Thresholds:
             )
 
 
-def log_mgf_h(pair: HypothesisPair, t: float) -> float:
-    """H(t) = ln sum_x P1(x)^(1-t) P2(x)^t; convex with H(0) = H(1) = 0.
+def _tilted(x: np.ndarray, probs: np.ndarray, t: float) -> tuple[float, float, float]:
+    """K(t) = ln E[e^(tX)] and K', K'': the mean and variance of X tilted by e^(tX).
 
-    Formed as ln E_P1[e^(-t llr)] from the pair's P1-vs-P2 martingale, with
-    the largest exponent factored out so no term overflows.
+    K is peak + log1p(E[expm1(tX - peak)]) with peak = max tX, so no term
+    overflows and small |t| keeps its digits.
     """
-    mart = pair.mart12
-    exponents = -t * mart.llr
-    peak = float(np.max(exponents))
-    return peak + math.log(float(np.dot(mart.probs, np.exp(exponents - peak))))
+    e = t * x
+    peak = float(np.max(e))
+    w = probs * np.exp(e - peak)
+    total = float(np.sum(w))
+    mean = float(np.dot(w, x)) / total
+    k = peak + math.log1p(float(np.dot(probs, np.expm1(e - peak))))
+    return k, mean, float(np.dot(w, (x - mean) ** 2)) / total
+
+
+def log_mgf_h(pair: HypothesisPair, t: float) -> float:
+    """H(t) = ln sum_x P1(x)^(1-t) P2(x)^t = ln E_P1[e^(-t llr)]; H(0) = H(1) = 0."""
+    return _tilted(-pair.mart12.llr, pair.mart12.probs, t)[0]
 
 
 def rate_function(pair: HypothesisPair, r: float) -> float:
@@ -133,36 +141,32 @@ def rate_function(pair: HypothesisPair, r: float) -> float:
 
     This is the large-deviations rate of the per-symbol statistic
     V = ln(P2(X)/P1(X)) under P1; it vanishes at the mean -D(P1||P2), is
-    convex, and is +inf outside [min V, max V].
+    convex, and is +inf outside [min V, max V]. Inside, I(r) = -min_t K(t) for
+    K(t) = H(t) - t r, by Newton steps on K'(t) = 0 that bisect [lo, hi] instead
+    whenever they would leave it.
     """
     v = -pair.mart12.llr
     vmin, vmax = float(np.min(v)), float(np.max(v))
-    p1 = pair.mart12.probs
-    if r >= vmax:
-        if r <= vmax + _EDGE_TOL:
-            return -math.log(float(np.sum(p1[v >= vmax - _EDGE_TOL])))
-        return math.inf
-    if r <= vmin:
-        if r >= vmin - _EDGE_TOL:
-            return -math.log(float(np.sum(p1[v <= vmin + _EDGE_TOL])))
-        return math.inf
-
-    def objective(t: float) -> float:
-        return t * r - log_mgf_h(pair, t)
-
-    lo, hi = -1.0, 2.0
-    while objective(lo) > objective(lo + 1e-3) and lo > -1e6:
-        lo *= 2.0
-    while objective(hi) > objective(hi - 1e-3) and hi < 1e6:
-        hi *= 2.0
-    _, neg_sup = golden_min(lambda t: -objective(t), lo, hi)
-    return max(0.0, -neg_sup)
+    if not vmin < r < vmax:  # -ln P1(V = edge) at an edge, +inf beyond it
+        edge = vmax if r >= vmax else vmin
+        mass = float(np.sum(pair.mart12.probs[abs(v - edge) <= _EDGE_TOL]))
+        return -math.log(mass) if abs(r - edge) <= _EDGE_TOL else math.inf
+    x, lo, hi, t = v - r, -math.inf, math.inf, 0.0
+    while True:
+        k, dk, d2k = _tilted(x, pair.mart12.probs, t)
+        lo, hi = (t, hi) if dk < 0.0 else (lo, t)
+        step = -dk / d2k if d2k > 0.0 else math.nan
+        if min(hi - lo, abs(step)) <= _T_TOL * max(1.0, abs(t)):
+            return max(0.0, -k)
+        # an open side stands at 2t -/+ 1 (t is the closed end): t grows geometrically
+        a = lo if lo > -math.inf else 2.0 * t - 1.0
+        b = hi if hi < math.inf else 2.0 * t + 1.0
+        t = t + step if a < t + step < b else 0.5 * (a + b)
 
 
 def chernoff_information(pair: HypothesisPair) -> float:
-    """C(P1, P2) = -min_{t in [0,1]} H(t); symmetric in the pair."""
-    _, hmin = golden_min(lambda t: log_mgf_h(pair, t), 0.0, 1.0)
-    return max(0.0, -hmin)
+    """C(P1, P2) = -min_{t in [0,1]} H(t) = I(0); symmetric in the pair."""
+    return rate_function(pair, 0.0)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -106,8 +107,8 @@ class IncrementLaw:
 
 def two_point_increment(d: float, eps: float) -> IncrementLaw:
     """+d w.p. eps and -eps*d/(1-eps) w.p. 1-eps: zero mean, |X| <= d."""
-    if d <= 0.0:
-        raise ValueError("d must be positive")
+    if not 0.0 < d < math.inf:
+        raise ValueError(f"d must be positive and finite, got {d!r}")
     if not 0.0 < eps <= 0.5:
         raise ValueError("eps must lie in (0, 1/2]")
     return IncrementLaw((d, -eps * d / (1.0 - eps)), (eps, 1.0 - eps))
@@ -137,7 +138,7 @@ class TailQuery:
             raise ValueError(f"n must be an integer, got {self.n!r}") from None
         if n < 1:
             raise ValueError("n must be >= 1")
-        if not math.isfinite(self.threshold):
+        if not abs(self.threshold) <= sys.float_info.max:  # ints past it too
             raise ValueError(f"threshold must be finite, got {self.threshold!r}")
         object.__setattr__(self, "n", n)
 
@@ -376,14 +377,12 @@ def example3_comparison(eps: float, d: float, x: float, k: int) -> Example3Compa
     delta = x/d. As eps -> 0 it vanishes for any fixed x > 0 while
     Azuma's stays put; bounds >= 1 are reported as 1.
     """
-    if x < 0.0:
-        raise ValueError("x must be non-negative")
-    if d <= 0.0:
-        raise ValueError("d must be positive")
     if k < 1:
         raise ValueError("k must be >= 1")
-    law = two_point_increment(d, eps)
-    azuma = min(1.0, math.exp(-k * x * x / (2.0 * d * d)))
-    thm2 = min(1.0, math.exp(-k * divergence_exponent(eps / (1.0 - eps), x / d)))
+    if not 0.0 <= x * k < math.inf:
+        raise ValueError(f"x must be non-negative with x*k finite, got {x!r}")
+    law, r = two_point_increment(d, eps), x / d
+    azuma = min(1.0, math.exp(-k * r * r / 2.0))
+    thm2 = min(1.0, math.exp(-k * divergence_exponent(eps / (1.0 - eps), r)))
     exact = exact_tail_dp(law, TailQuery(n=k, threshold=x * k, two_sided=False))
     return Example3Comparison(azuma=azuma, thm2=thm2, exact=exact)

@@ -1,0 +1,23 @@
+"""A short traced benchmark worker run completes and certifies its pass."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_traced_analytic_sweep_worker():
+    proc = subprocess.run(
+        [
+            sys.executable, str(ROOT / "perfbench" / "worker.py"),
+            "--workload", "analytic_sweep", "--seed", "1", "--seconds", "0.2",
+            "--trace", "1", "--root", str(ROOT),
+        ],
+        capture_output=True, text=True, timeout=300, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["unexpected_failures"] == {}
+    assert "import.numpy_ms" in result["layers"]

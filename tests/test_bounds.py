@@ -502,3 +502,62 @@ class TestOrderingChains:
         c3 = cor3_exponent(spec_of(0.02), 0.5).exponent
         pk = pinsker_loosened_exponent(spec_of(0.02), 0.5).exponent
         assert c3 > pk  # ... and loses here
+
+
+class TestCramerOracle:
+    """Every route against the Cramer rate I(delta) of an i.i.d. law, d = 1.
+
+    A sum of n i.i.d. zero-mean increments is a martingale whose tail is
+    e^(-n I(delta) + o(n)), so no valid exponent exceeds I(delta): this is
+    the n -> inf counterpart of acceptance criterion 7. The absolute term
+    covers float probabilities that sum to 1 only within an ulp.
+    """
+
+    @pytest.mark.parametrize("gamma", [0.05, 0.25, 0.5, 0.9, 1.0])
+    def test_thm2_is_the_rate_of_the_extremal_law(self, gamma, mp_cramer_rate):
+        # Hoeffding (1963), Thm 3: +1 w.p. gamma/(1+gamma), -gamma w.p.
+        # 1/(1+gamma) attains the divergence exponent
+        mpmath = pytest.importorskip("mpmath")
+        for delta in (1e-2, 0.03, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
+            with mpmath.workdps(40):
+                g = mpmath.mpf(gamma)
+                want = mp_cramer_rate((1, -g), (g / (1 + g), 1 / (1 + g)), delta)
+            got = thm2_exponent(spec_of(gamma), delta).exponent
+            assert abs(got - want) <= 1e-11 * want, (gamma, delta, got, want)
+
+    def test_routes_below_rate_of_random_laws(self, rng, mp_cramer_rate):
+        from tailforge.validate import IncrementLaw
+
+        cells = 0
+        for _ in range(200):
+            k = int(rng.integers(2, 7))
+            probs = rng.uniform(0.05, 1.0, k)
+            probs /= probs.sum()
+            values = rng.uniform(-1.0, 1.0, k)
+            values -= np.dot(probs, values)
+            law = IncrementLaw(tuple(values / np.max(np.abs(values))), tuple(probs))
+            assert law.d == 1.0
+            spec, gamma = spec_of(law.variance), law.variance
+            profiles = [
+                MomentProfile(tuple(law.abs_moment(l) for l in range(2, m + 1)))
+                for m in (4, 6)
+            ]
+            for delta in (10 ** rng.uniform(-3.0, 0.0), rng.uniform(1e-3, 1.0)):
+                if delta >= max(law.values):
+                    continue
+                cells += 1
+                rate = float(mp_cramer_rate(law.values, law.probs, delta))
+                routes = {
+                    "azuma": azuma_exponent(spec, delta).exponent,
+                    "thm2": thm2_exponent(spec, delta).exponent,
+                    "thm3": thm3_exponent(spec, delta).exponent,
+                    "cor3": cor3_exponent(spec, delta).exponent,
+                    "cor4": cor4_exponent(gamma, delta).exponent,
+                }
+                for prof in profiles:
+                    routes[f"thm4(m={prof.m})"] = thm4_exponent(prof, delta).exponent
+                    _, cor6 = cor6_suboptimal(prof, delta)
+                    routes[f"cor6(m={prof.m})"] = cor6.exponent
+                for name, e in routes.items():
+                    assert e <= rate * (1 + 1e-10) + 1e-15, (name, law, delta, e, rate)
+        assert cells >= 250

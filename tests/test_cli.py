@@ -294,6 +294,17 @@ class TestLdpcCommand:
         assert out == ""
         assert err.startswith("config error:") and message in err
 
+    def test_n_with_config_is_config_error(self, capsys, tmp_path):
+        cfg = tmp_path / "ldpc.json"
+        ens = {"n": 20, "lambda": [0, 0, 1], "rho": [0, 0, 0, 0, 0, 1]}
+        cfg.write_text(json.dumps(ens))
+        code, out, err = run_cli(
+            capsys, "ldpc", "--config", str(cfg), "--n", "5", "--alpha", "0.1"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "config error: --n applies only to --regular\n"
+
 
 class TestOfdmCommand:
     def test_bounds_output(self, capsys):
@@ -381,6 +392,61 @@ class TestSimulateCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("config error:") and "threshold must be finite" in err
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("--d", "nan"), "d must be positive and finite, got nan"),
+            (("--d", "inf"), "d must be positive and finite, got inf"),
+            (("--x", "nan"), "x must be non-negative with x*k finite, got nan"),
+            (("--x", "1e400"), "x must be non-negative with x*k finite, got inf"),
+            (("--x", "1e308"), "x must be non-negative with x*k finite, got 1e+308"),
+        ],
+        ids=["d-nan", "d-inf", "x-nan", "x-1e400", "x-1e308"],
+    )
+    def test_non_finite_twopoint_input_names_it(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "simulate", "--seed", "1", *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"config error: {message}\n"
+
+    def test_d_whose_square_underflows(self, capsys):
+        # Azuma's exponent is formed from x/d, which overflows to a zero bound
+        code, out, _ = run_cli(
+            capsys, "simulate", "--eps", "0.3", "--d", "1e-320", "--seed", "1",
+            "--trials", "100",
+        )
+        assert code == 0
+        header, rows = parse_csv(out)
+        table = {r[0]: float(r[1]) for r in rows}
+        assert table["azuma_bound"] == table["thm2_bound"] == 0.0
+        assert table["exact_tail"] == 0.0
+
+    @pytest.mark.parametrize(
+        "flags,law_file",
+        [
+            (("--threshold", "3"), False),
+            (("--two-sided",), False),
+            (("--eps", "0.3"), True),
+            (("--d", "1"), True),
+            (("--x", "0.5"), True),
+        ],
+        ids=["twopoint-threshold", "twopoint-two-sided", "law-eps", "law-d", "law-x"],
+    )
+    def test_flag_the_mode_ignores_is_config_error(
+        self, capsys, tmp_path, flags, law_file
+    ):
+        law = ()
+        message = "--threshold and --two-sided apply only to a --law file"
+        if law_file:
+            cfg = tmp_path / "law.json"
+            cfg.write_text(json.dumps({"values": [1.0, -1.0], "probs": [0.5, 0.5]}))
+            law = ("--law", str(cfg), "--threshold", "3")
+            message = "--eps, --d and --x apply only to the two-point law"
+        code, out, err = run_cli(capsys, "simulate", "--seed", "1", *law, *flags)
+        assert code == 2
+        assert out == ""
+        assert err == f"config error: {message}\n"
 
     def test_determinism_to_file(self, capsys, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"

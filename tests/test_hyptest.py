@@ -156,6 +156,30 @@ class TestRateFunction:
         )
 
 
+class TestLegendreKernel:
+    """rate_function and chernoff_information against a 40-digit reference."""
+
+    def test_against_mpmath(self, rng, mp_cramer_rate):
+        mpmath = pytest.importorskip("mpmath")
+        for _ in range(40):
+            pair = random_pair(rng, size=int(rng.integers(2, 6)))
+            v = -pair.mart12.llr
+            vmin, vmax = float(np.min(v)), float(np.max(v))
+            w = vmax - vmin
+            rs = [0.0, float(rng.uniform(vmin, vmax))]
+            rs += [vmax - f * w for f in (1e-6, 1e-9)]
+            rs += [vmin + f * w for f in (1e-6, 1e-9)]
+            with mpmath.workdps(40):
+                p1 = [mpmath.mpf(x) for x in pair.p1.probs]
+                vm = [mpmath.log(mpmath.mpf(b) / a) for a, b in zip(p1, pair.p2.probs)]
+                want = [float(mp_cramer_rate(vm, p1, r)) for r in rs]
+            got = [chernoff_information(pair)] + [rate_function(pair, r) for r in rs]
+            for g, i, r in zip(got, [want[0]] + want, [0.0] + rs):
+                assert abs(g - i) <= 1e-15 + 1e-11 * i, (pair, r, g, i)
+                if i >= 1e-4:
+                    assert abs(g - i) <= 1e-11 * i, (pair, r, g, i)
+
+
 class TestChernoff:
     def test_swap_pair_value(self):
         assert chernoff_information(SWAP_PAIR) == pytest.approx(

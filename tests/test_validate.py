@@ -48,7 +48,11 @@ class TestTailQuery:
         with pytest.raises(ValueError):
             TailQuery(n=n, threshold=1.0)
 
-    @pytest.mark.parametrize("threshold", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "threshold",
+        [math.inf, -math.inf, math.nan, 10**400, -(10**400)],
+        ids=["inf", "-inf", "nan", "int-1e400", "-int-1e400"],
+    )
     def test_non_finite_threshold_rejected(self, threshold):
         with pytest.raises(ValueError, match="threshold must be finite"):
             TailQuery(n=10, threshold=threshold)
