@@ -46,14 +46,11 @@ def _fmt(value, precision: int, units_scale: float = 1.0) -> str:
 def _emit(columns, rows, args, exponent_columns=()):
     """Write rows (list of dicts) as CSV or JSON to --out or stdout."""
     scale = 1.0 / LN2 if exponent_columns and args.units == "bits" else 1.0
-    textual = []
-    for row in rows:
-        textual.append(
-            [
-                _fmt(row[c], args.precision, scale if c in exponent_columns else 1.0)
-                for c in columns
-            ]
-        )
+    scales = [scale if c in exponent_columns else 1.0 for c in columns]
+    textual = [
+        [_fmt(row[c], args.precision, k) for c, k in zip(columns, scales)]
+        for row in rows
+    ]
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -61,10 +58,8 @@ def _emit(columns, rows, args, exponent_columns=()):
         writer.writerows(textual)
         payload = buf.getvalue()
     else:
-        payload = (
-            json.dumps({"columns": list(columns), "rows": textual}, sort_keys=True)
-            + "\n"
-        )
+        table = {"columns": list(columns), "rows": textual}
+        payload = json.dumps(table, sort_keys=True) + "\n"
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -246,7 +241,6 @@ def cmd_hypothesis(args) -> int:
     azuma = hyptest.azuma_lower_bounds(pair, thresholds)
     mp = hyptest.martingale_params(pair, thresholds)
     chernoff = hyptest.chernoff_information(pair)
-    columns = ["quantity", "value"]
     rows = [
         {"quantity": "chernoff_information", "value": chernoff},
         {"quantity": "exact_err_or_erasure", "value": exact.err_or_erasure},
@@ -270,7 +264,7 @@ def cmd_hypothesis(args) -> int:
             {"quantity": "mdp_bound", "value": bound},
             {"quantity": "mdp_asymptotic_slope", "value": md.asymptotic_slope},
         ]
-    _emit(columns, rows, args, exponent_columns={"value"})
+    _emit(["quantity", "value"], rows, args, exponent_columns={"value"})
     return EXIT_OK
 
 
@@ -294,7 +288,6 @@ def cmd_ldpc(args) -> int:
     else:
         raise ConfigError("need --config LDPC.json or --regular DV,DC")
     res = codingapps.ldpc_cycles_bound(ens, args.alpha)
-    columns = ["quantity", "value"]
     rows = [
         {"quantity": "design_rate", "value": res.design_rate},
         {"quantity": "avg_right_degree", "value": res.avg_right_degree},
@@ -302,14 +295,13 @@ def cmd_ldpc(args) -> int:
         {"quantity": "bound", "value": min(1.0, res.bound)},
         {"quantity": "azuma_bound", "value": min(1.0, res.azuma_bound)},
     ]
-    _emit(columns, rows, args)
+    _emit(["quantity", "value"], rows, args)
     return EXIT_OK
 
 
 def cmd_ofdm(args) -> int:
     model = codingapps.OfdmModel(n=args.n, M=args.M)
     res = codingapps.ofdm_cf_bounds(model, args.alpha)
-    columns = ["quantity", "value"]
     rows = [
         {"quantity": "azuma_bound", "value": min(1.0, res.azuma)},
         {"quantity": "refined_bound", "value": min(1.0, res.refined)},
@@ -329,19 +321,18 @@ def cmd_ofdm(args) -> int:
             {"quantity": "second_moment_target", "value": rep.second_moment_target},
             {"quantity": "trig_identity", "value": str(rep.trig_identity)},
         ]
-    _emit(columns, rows, args)
+    _emit(["quantity", "value"], rows, args)
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
     if args.seed is None:
         raise ConfigError("simulate requires --seed")
+    two_point = (args.eps, args.d, args.x)
     if args.law == "twopoint":
         if args.threshold is not None or args.two_sided:
             raise ConfigError("--threshold and --two-sided apply only to a --law file")
-        eps = 0.01 if args.eps is None else args.eps
-        d = 1.0 if args.d is None else args.d
-        x = 0.5 if args.x is None else args.x
+        eps, d, x = (v if f is None else f for f, v in zip(two_point, (0.01, 1.0, 0.5)))
         comp = validate.example3_comparison(eps, d, x, args.k)
         law = validate.two_point_increment(d, eps)
         query = TailQuery(n=args.k, threshold=x * args.k, two_sided=False)
@@ -351,7 +342,7 @@ def cmd_simulate(args) -> int:
             {"quantity": "exact_tail", "value": comp.exact},
         ]
     else:
-        if (args.eps, args.d, args.x) != (None, None, None):
+        if two_point != (None, None, None):
             raise ConfigError("--eps, --d and --x apply only to the two-point law")
         cfg = _load_json(args.law)
         try:

@@ -119,15 +119,17 @@ class Thresholds:
 def _tilted(x: np.ndarray, probs: np.ndarray, t: float) -> tuple[float, float, float]:
     """K(t) = ln E[e^(tX)] and K', K'': the mean and variance of X tilted by e^(tX).
 
-    K is peak + log1p(E[expm1(tX - peak)]) with peak = max tX, so no term
-    overflows and small |t| keeps its digits.
+    K = peak + ln S with peak = max tX and S = E[e^(tX - peak)], so no term
+    overflows. While S > 1/2, ln S = log1p(E[expm1(tX - peak)]) keeps small |t|'s
+    digits; a smaller S (a rare peak symbol) keeps them only as ln S.
     """
     e = t * x
     peak = float(np.max(e))
     w = probs * np.exp(e - peak)
     total = float(np.sum(w))
     mean = float(np.dot(w, x)) / total
-    k = peak + math.log1p(float(np.dot(probs, np.expm1(e - peak))))
+    s = float(np.dot(probs, np.expm1(e - peak)))
+    k = peak + (math.log1p(s) if s > -0.5 else math.log(total))
     return k, mean, float(np.dot(w, (x - mean) ** 2)) / total
 
 
@@ -141,9 +143,8 @@ def rate_function(pair: HypothesisPair, r: float) -> float:
 
     This is the large-deviations rate of the per-symbol statistic
     V = ln(P2(X)/P1(X)) under P1; it vanishes at the mean -D(P1||P2), is
-    convex, and is +inf outside [min V, max V]. Inside, I(r) = -min_t K(t) for
-    K(t) = H(t) - t r, by Newton steps on K'(t) = 0 that bisect [lo, hi] instead
-    whenever they would leave it.
+    convex, and is +inf outside [min V, max V]. Inside, I(r) = -min_t (H(t) - t r)
+    by Newton steps on H'(t) = r that bisect the bracket when they would leave it.
     """
     v = -pair.mart12.llr
     vmin, vmax = float(np.min(v)), float(np.max(v))
@@ -184,10 +185,8 @@ class ExactExponents:
 def exact_exponents(pair: HypothesisPair, thresholds: Thresholds) -> ExactExponents:
     """Exact exponents via the rate function, with lambda_i = -thresholds."""
     thresholds.validate_for(pair)
-    lam1 = -thresholds.lambda_bar
-    lam2 = -thresholds.lambda_under
-    i1 = rate_function(pair, lam1)
-    i2 = rate_function(pair, lam2)
+    lam1, lam2 = -thresholds.lambda_bar, -thresholds.lambda_under
+    i1, i2 = rate_function(pair, lam1), rate_function(pair, lam2)
     return ExactExponents(
         alpha1=i1,
         alpha2=i2,
@@ -387,16 +386,13 @@ def fisher_limit_check(
             raise ValueError("offsets must be positive")
         pair = HypothesisPair(family.pmf(theta + off), family.pmf(theta - off))
         dth2 = (2.0 * off) ** 2
-        c = chernoff_information(pair)
-        refined = refined_lower_bounds(pair).error
-        azuma = azuma_lower_bounds(pair).error
         rows.append(
             FisherLimitRow(
                 offset=off,
                 delta_theta=2.0 * off,
-                chernoff_ratio=c / dth2,
-                refined_ratio=refined / dth2,
-                azuma_ratio=azuma / dth2,
+                chernoff_ratio=chernoff_information(pair) / dth2,
+                refined_ratio=refined_lower_bounds(pair).error / dth2,
+                azuma_ratio=azuma_lower_bounds(pair).error / dth2,
                 target=target,
             )
         )

@@ -99,7 +99,6 @@ class TestLogMgf:
         ],
     )
     def test_against_mpmath_over_wide_t(self, p1, p2):
-        # rate_function's bracket growth reaches |t| in the thousands
         mpmath = pytest.importorskip("mpmath")
         pair = HypothesisPair.from_probs(p1, p2)
         ts = (1e4, -1e4, 300.0, -300.0, 50.0, -50.0, -3.0, -1.0)
@@ -178,6 +177,28 @@ class TestLegendreKernel:
                 assert abs(g - i) <= 1e-15 + 1e-11 * i, (pair, r, g, i)
                 if i >= 1e-4:
                     assert abs(g - i) <= 1e-11 * i, (pair, r, g, i)
+
+    @pytest.mark.parametrize(
+        "p1, p2",
+        [
+            ((1e-9, 1 - 1e-9), (1 - 1e-9, 1e-9)),
+            ((1e-12, 1 - 1e-12), (1 - 1e-12, 1e-12)),
+            ((1e-12, 0.3, 0.7 - 1e-12), (0.5, 0.25, 0.25)),
+            ((0.6, 0.4 - 1e-9, 1e-9), (0.2, 0.2, 0.6)),
+        ],
+    )
+    def test_rare_symbols(self, p1, p2, mp_cramer_rate):
+        # the tilted mass sits on a rare symbol at r = 0 and near one edge
+        pair = HypothesisPair.from_probs(p1, p2)
+        v, probs = -pair.mart12.llr, pair.mart12.probs
+        vmin, vmax = float(np.min(v)), float(np.max(v))
+        w = vmax - vmin
+        rs = [0.0] + [vmax - f * w for f in (1e-6, 1e-9)]
+        rs += [vmin + f * w for f in (1e-6, 1e-9)]
+        got = [chernoff_information(pair)] + [rate_function(pair, r) for r in rs]
+        for g, r in zip(got, [0.0] + rs):
+            i = float(mp_cramer_rate(list(v), list(probs), r))
+            assert abs(g - i) <= 1e-15 + 1e-13 * i, (r, g, i)
 
 
 class TestChernoff:
