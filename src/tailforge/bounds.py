@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence, Tuple
 
-from ._optim import minimize_on_ray
+from ._optim import newton_min
 from .specfun import (
     BOUNDARY_CLAMP,
     big_b,
@@ -224,43 +224,79 @@ def thm3_exponent(spec: MartingaleSpec, alpha: float) -> ExponentValue:
     return ExponentValue(max(0.0, e), "thm3", {**params, "x": x})
 
 
-def _log_mgf_bound(profile: MomentProfile, x: float) -> float:
-    """ln S(x) for S(x) = 1 + sum_{l<m}(gamma_l - gamma_m)x^l/l! + gamma_m(e^x-1-x).
+def _poly(profile: MomentProfile, x: float, j: int) -> float:
+    """The j-th derivative of sum_{2<=l<m} (gamma_l - gamma_m) x^l/l!, part of S."""
+    gm = profile.gamma_m
+    return sum(
+        (g - gm) * x ** (l - j) / math.factorial(l - j)
+        for l, g in enumerate(profile.gammas[:-1], 2)
+        if l >= j
+    )
 
-    S upper-bounds a conditional MGF, so S >= 1. Factored for large x so
-    huge arguments never overflow.
+
+def _log_mgf_bound(profile: MomentProfile, x: float, delta: float):
+    """f(x) = ln S(x) - delta*x and its first two derivatives, from one pass.
+
+    S(x) = 1 + sum_{l<m}(gamma_l - gamma_m)x^l/l! + gamma_m(e^x-1-x) upper-bounds
+    a conditional MGF; S >= 1 on x >= 0 as every gamma_l >= 0. For x <= 30,
+    ln S = log1p(S - 1) keeps small x's digits. Above, S = gamma_m e^x + r is
+    factored so huge x never overflows, and the slope (S' - delta*S)/S has its
+    gamma_m e^x terms cancelled by hand, so it keeps its sign when delta = 1.
     """
     gm = profile.gamma_m
-    poly = 0.0
-    fact = 1.0
-    for l in range(2, profile.m):
-        fact *= l
-        poly += (profile.gamma(l) - gm) * x**l / fact
+    p = [_poly(profile, x, j) for j in range(3)]
     if x <= 30.0:
-        s = 1.0 + poly + gm * (math.expm1(x) - x)
-        if s <= 0.0:
-            raise ValueError("moment profile yields a non-positive bound base")
-        return math.log(s)
-    # S = e^x * (gm + r e^{-x}) with polynomial remainder r
-    r = 1.0 + poly - gm * (1.0 + x)
-    if gm == 0.0:
-        if r <= 0.0:
-            raise ValueError("moment profile yields a non-positive bound base")
-        return math.log(r)
-    correction = r * math.exp(-x) / gm if x < 700.0 else 0.0
-    if correction <= -1.0:
-        raise ValueError("moment profile yields a non-positive bound base")
-    return x + math.log(gm) + math.log1p(correction)
+        em1 = math.expm1(x)
+        u = p[0] + gm * (em1 - x)  # S - 1
+        s, log_s = 1.0 + u, math.log1p(u)
+        ds, s2 = p[1] + gm * em1 - delta * s, p[2] + gm * (em1 + 1.0)
+    else:
+        # S, S' - delta*S and S'' carry a factor e^-x here, unless gm = 0
+        r = 1.0 + p[0] - gm * (1.0 + x)
+        e = 1.0 if gm == 0.0 else math.exp(-x) if x < 700.0 else 0.0
+        s = gm + r * e
+        log_s = math.log(r) if gm == 0.0 else x + math.log(gm) + math.log1p(r * e / gm)
+        ds, s2 = gm * (1.0 - delta) + (p[1] - gm - delta * r) * e, gm + p[2] * e
+    slope = ds / s
+    return log_s - delta * x, slope, s2 / s - (slope + delta) ** 2
+
+
+def _slope_cuts(profile: MomentProfile, delta: float, ceiling: float) -> list:
+    """Points of (0, ceiling) between which S' - delta*S changes sign at most once.
+
+    For k >= 1, S^(k) = P_k + gamma_m e^x with P_k = _poly(k) (less gamma_m at
+    k = 1), so g_k = S^(k+1) - delta*S^(k) has derivative g_{k+1}. Between two
+    sign changes of g_{k+1}, g_k is monotone (Rolle), and ``newton_min`` finds
+    its one sign change: from g_{m-1}, which has at most one, down to g_1.
+    """
+    gm = profile.gamma_m
+
+    def g(k, x):  # g_k e^-x (g_k if gm = 0), finite at any x, and its slope
+        e = 1.0 if gm == 0.0 else math.exp(-x) if x < 700.0 else 0.0
+        p = [_poly(profile, x, j) - (gm if j == 1 else 0.0) for j in range(k, k + 3)]
+        v = [(p[i + 1] - delta * p[i]) * e + gm * (1.0 - delta) for i in (0, 1)]
+        return v[0], v[1] - (v[0] if gm > 0.0 else 0.0)
+
+    cuts = []
+    for k in range(profile.m - 1, 0, -1):
+        pts, cuts = [0.0, *cuts, ceiling], []
+        ends = [g(k, x)[0] for x in pts]
+        for a, b, ga, gb in zip(pts, pts[1:], ends, ends[1:]):
+            s = 1.0 if ga < 0.0 else -1.0  # orient g_k to rise through 0
+            if s * gb > 0.0:
+                t, _ = newton_min(lambda x: (0.0, *(s * v for v in g(k, x))), a, b, a)
+                cuts.append(t)
+    return cuts
 
 
 def thm4_exponent(profile: MomentProfile, delta: float) -> ExponentValue:
     """Higher-moment exponent sup_{x>=0} {delta*x - ln S(x)}.
 
     The m = 2, delta = 1 endpoint uses the closed form
-    1/gamma - ln(gamma(e^{1/gamma} - 1)); otherwise the supremum is found
-    by a doubling bracket scan plus golden section on
-    [0, max(50, 4/gamma_m, 10/(1-delta))]. ``params['at_ceiling']`` flags
-    a minimizer pinned at the scan ceiling (the infimum may then sit at
+    1/gamma - ln(gamma(e^{1/gamma} - 1)). Otherwise ln S - delta*x is minimised
+    globally on [0, max(50, 4/gamma_m, 10/(1-delta))]: by ``newton_min`` on each
+    piece between ``_slope_cuts``, and at the ceiling. ``params['at_ceiling']``
+    flags a minimizer pinned at the ceiling (the infimum may then sit at
     x -> inf and the reported exponent is a valid lower bound of it).
     """
     method = f"thm4(m={profile.m})"
@@ -274,21 +310,22 @@ def thm4_exponent(profile: MomentProfile, delta: float) -> ExponentValue:
     if delta == 1.0 and profile.m == 2:
         return ExponentValue(_cor4_delta1(profile.gamma2), method, params)
     gm = profile.gamma_m
-    if gm > 0.0:
-        ceiling = max(50.0, 4.0 / gm)
-    else:
-        ceiling = 50.0
-    if delta < 1.0:
-        ceiling = max(ceiling, 10.0 / (1.0 - delta))
-    ceiling = min(ceiling, 1e6)
+    ceiling = max(50.0, 4.0 / gm if gm > 0.0 else 0.0)
+    ceiling = min(max(ceiling, 10.0 / (1.0 - delta) if delta < 1.0 else 0.0), 1e6)
 
-    def objective(x: float) -> float:
-        return _log_mgf_bound(profile, x) - delta * x
+    def f(x):
+        return _log_mgf_bound(profile, x, delta)
 
-    x, fmin, hit = minimize_on_ray(objective, ceiling)
-    return ExponentValue(
-        max(0.0, -fmin), method, {**params, "x": x, "at_ceiling": hit}
-    )
+    pts = [0.0, *_slope_cuts(profile, delta, ceiling), ceiling]
+    fs = [f(x) for x in pts]
+    x, fmin, g2 = ceiling, fs[-1][0], profile.gamma2
+    for a, b, fa, fb in zip(pts, pts[1:], fs, fs[1:]):
+        if fa[1] < 0.0 <= fb[1]:  # f falls from a and rises into b: a minimum
+            # Newton's first step from 0, delta/gamma_2, can lie below its stop
+            t = min(b, delta / g2) if a == 0.0 and g2 > 0.0 else a
+            x, fmin = min((x, fmin), newton_min(f, a, b, t), key=lambda c: c[1])
+    hit = x >= ceiling - 1e-9 * ceiling
+    return ExponentValue(max(0.0, -fmin), method, {**params, "x": x, "at_ceiling": hit})
 
 
 def _cor4_delta1(gamma: float) -> float:
@@ -317,8 +354,10 @@ def cor4_exponent(gamma: float, delta: float) -> ExponentValue:
     if delta == 1.0:
         return ExponentValue(_cor4_delta1(gamma), "cor4", params)
     x = cor4_optimal_x(gamma, delta)
-    profile = MomentProfile((gamma,))
-    e = delta * x - _log_mgf_bound(profile, x)
+    if x <= 30.0:  # ln(1 + u), not log1p(u): pinned by the exp_small_delta_out golden
+        e = delta * x - math.log(1.0 + gamma * (math.expm1(x) - x))
+    else:
+        e = -_log_mgf_bound(MomentProfile((gamma,)), x, delta)[0]
     return ExponentValue(max(0.0, e), "cor4", {**params, "x": x})
 
 
@@ -358,7 +397,7 @@ def cor6_suboptimal(profile: MomentProfile, delta: float):
     else:
         log_w = math.log(b / c) + (a + b) / c
         x = (a + b) / c - lambert_w0_exparg(log_w)
-    e = delta * x - _log_mgf_bound(profile, x)
+    e = -_log_mgf_bound(profile, x, delta)[0]
     return x, ExponentValue(max(0.0, e), method, {**params, "x": x})
 
 

@@ -16,11 +16,11 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from ._optim import newton_min
 from .bounds import divergence_exponent
 from .pmf import FinitePmf
 
 _EDGE_TOL = 1e-12
-_T_TOL = 1e-10  # Newton stops at a step or bracket this small, times max(1, |t|)
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,7 +144,7 @@ def rate_function(pair: HypothesisPair, r: float) -> float:
     This is the large-deviations rate of the per-symbol statistic
     V = ln(P2(X)/P1(X)) under P1; it vanishes at the mean -D(P1||P2), is
     convex, and is +inf outside [min V, max V]. Inside, I(r) = -min_t (H(t) - t r)
-    by Newton steps on H'(t) = r that bisect the bracket when they would leave it.
+    by ``newton_min`` on the tilted cumulants of V - r.
     """
     v = -pair.mart12.llr
     vmin, vmax = float(np.min(v)), float(np.max(v))
@@ -152,17 +152,8 @@ def rate_function(pair: HypothesisPair, r: float) -> float:
         edge = vmax if r >= vmax else vmin
         mass = float(np.sum(pair.mart12.probs[abs(v - edge) <= _EDGE_TOL]))
         return -math.log(mass) if abs(r - edge) <= _EDGE_TOL else math.inf
-    x, lo, hi, t = v - r, -math.inf, math.inf, 0.0
-    while True:
-        k, dk, d2k = _tilted(x, pair.mart12.probs, t)
-        lo, hi = (t, hi) if dk < 0.0 else (lo, t)
-        step = -dk / d2k if d2k > 0.0 else math.nan
-        if min(hi - lo, abs(step)) <= _T_TOL * max(1.0, abs(t)):
-            return max(0.0, -k)
-        # an open side stands at 2t -/+ 1 (t is the closed end): t grows geometrically
-        a = lo if lo > -math.inf else 2.0 * t - 1.0
-        b = hi if hi < math.inf else 2.0 * t + 1.0
-        t = t + step if a < t + step < b else 0.5 * (a + b)
+    x = v - r
+    return max(0.0, -newton_min(lambda t: _tilted(x, pair.mart12.probs, t))[1])
 
 
 def chernoff_information(pair: HypothesisPair) -> float:
@@ -186,7 +177,8 @@ def exact_exponents(pair: HypothesisPair, thresholds: Thresholds) -> ExactExpone
     """Exact exponents via the rate function, with lambda_i = -thresholds."""
     thresholds.validate_for(pair)
     lam1, lam2 = -thresholds.lambda_bar, -thresholds.lambda_under
-    i1, i2 = rate_function(pair, lam1), rate_function(pair, lam2)
+    i1 = rate_function(pair, lam1)
+    i2 = i1 if lam2 == lam1 else rate_function(pair, lam2)
     return ExactExponents(
         alpha1=i1,
         alpha2=i2,

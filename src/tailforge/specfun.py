@@ -16,7 +16,6 @@ import math
 INV_E = math.exp(-1.0)
 BOUNDARY_CLAMP = 1e-12
 
-_LAMBERT_TOL = 1e-14
 _LAMBERT_MAX_ITER = 50
 
 

@@ -377,8 +377,8 @@ def example3_comparison(eps: float, d: float, x: float, k: int) -> Example3Compa
     delta = x/d. As eps -> 0 it vanishes for any fixed x > 0 while
     Azuma's stays put; bounds >= 1 are reported as 1.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    if not 1 <= k <= sys.float_info.max:  # x * k would raise OverflowError
+        raise ValueError(f"k must lie in [1, {sys.float_info.max:g}]")
     if not 0.0 <= x * k < math.inf:
         raise ValueError(f"x must be non-negative with x*k finite, got {x!r}")
     law, r = two_point_increment(d, eps), x / d

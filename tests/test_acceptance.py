@@ -386,7 +386,7 @@ def test_criterion_8_closed_form_vs_optimizer():
         worst_x = max(worst_x, abs(x6 - bounds.cor4_optimal_x(gamma, delta)))
     ok = worst_e <= 1e-9 and worst_x <= 1e-10
     criterion(
-        8, "cor4 vs golden-section and cor6 x at m=2", ok,
+        8, "cor4 vs Newton thm4 and cor6 x at m=2", ok,
         f"max exponent gap {worst_e:.2e}, max x gap {worst_x:.2e}",
     )
 

@@ -34,7 +34,7 @@ def spec_of(gamma):
 
 
 def grid_min_base_m(gammas, delta, xs):
-    """Dense-grid oracle for the higher-moment base (no golden section)."""
+    """Dense-grid oracle for the higher-moment base (no Newton minimiser)."""
     m = len(gammas) + 1
     gm = gammas[-1]
     best = math.inf
@@ -298,7 +298,57 @@ class TestThm4Cor4:
         # carries the bracket-ceiling flag in its params
         ev = thm4_exponent(MomentProfile((0.5, 0.2, 0.1)), 1.0)
         assert ev.exponent == pytest.approx(math.log(10.0), abs=1e-9)
-        assert "at_ceiling" in ev.params
+        assert ev.params["at_ceiling"] is True
+
+    def test_delta_one_tail_beats_a_nearer_local_minimum(self):
+        # moments of a real zero-mean law: at delta = 1 the objective has a
+        # local minimum near x = 1.6, but the tail falls lower, to ln(gamma_6)
+        gammas = (0.72145985500124, 0.63723985474590, 0.57647850557348,
+                  0.53264163140986, 0.50101508653207)
+        ev = thm4_exponent(MomentProfile(gammas), 1.0)
+        assert ev.exponent == pytest.approx(-math.log(gammas[-1]), abs=1e-12)
+        assert ev.params["at_ceiling"] is True
+        oracle = -math.log(grid_min_base_m(gammas, 1.0, np.linspace(0.0, 50.0, 50001)))
+        assert ev.exponent >= oracle - 1e-12
+
+    @pytest.mark.parametrize(
+        "gammas,delta",
+        [
+            ((0.5027, 0.2657, 0.1438, 0.1091, 0.0547), 0.7384),
+            ((0.7401, 0.2058, 0.0841), 0.7155),
+        ],
+        ids=["m6", "m4"],
+    )
+    def test_global_sup_when_the_nearer_minimum_is_not_it(self, gammas, delta):
+        # no bounded law has these moments (gamma_5^2 > gamma_4 gamma_6, and
+        # gamma_4 < gamma_2^2), and ln S - delta*x has two local minima
+        ev = thm4_exponent(MomentProfile(gammas), delta)
+        xs = np.linspace(0.0, 60.0, 60001)
+        oracle = -math.log(grid_min_base_m(gammas, delta, xs))
+        assert oracle - 1e-12 <= ev.exponent <= oracle + 1e-6
+
+    @pytest.mark.parametrize("gammas", [(0.5,), (0.5, 5 / 12, 3 / 8)], ids=["m2", "m4"])
+    @pytest.mark.parametrize("delta", [1e-4, 1e-6, 1e-8])
+    def test_small_delta_against_mpmath_sup(self, gammas, delta):
+        # the sup sits at the root of S' - delta*S, here solved at 60 digits
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(60):
+            g = [mpmath.mpf(v) for v in gammas]
+            gm, d = g[-1], mpmath.mpf(delta)
+            poly = [(g[l - 2] - gm) / mpmath.factorial(l) for l in range(2, len(g) + 1)]
+
+            def s(x):
+                terms = sum(c * x ** (i + 2) for i, c in enumerate(poly))
+                return 1 + terms + gm * (mpmath.expm1(x) - x)
+
+            def ds(x):
+                terms = sum((i + 2) * c * x ** (i + 1) for i, c in enumerate(poly))
+                return terms + gm * mpmath.expm1(x)
+
+            x = mpmath.findroot(lambda x: ds(x) - d * s(x), d / g[0])
+            want = float(d * x - mpmath.log(s(x)))
+        got = thm4_exponent(MomentProfile(gammas), delta).exponent
+        assert abs(got - want) <= 1e-8 * want  # pytest.approx would add abs=1e-12
 
     def test_nondecreasing_in_m_for_absolute_profiles(self):
         # absolute-moment profiles are nonincreasing in l, and the exponent

@@ -410,6 +410,13 @@ class TestSimulateCommand:
         assert out == ""
         assert err == f"config error: {message}\n"
 
+    def test_k_beyond_the_float_range_names_it(self, capsys):
+        huge_k = "1" + "0" * 400
+        code, out, err = run_cli(capsys, "simulate", "--seed", "1", "--k", huge_k)
+        assert code == 2
+        assert out == ""
+        assert err == "config error: k must lie in [1, 1.79769e+308]\n"
+
     def test_d_whose_square_underflows(self, capsys):
         # Azuma's exponent is formed from x/d, which overflows to a zero bound
         code, out, _ = run_cli(

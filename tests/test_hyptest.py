@@ -247,6 +247,24 @@ class TestExactExponents:
         # erasures make the error-only event rarer
         assert res.error >= res.err_or_erasure - 1e-12
 
+    @pytest.mark.parametrize(
+        "thresholds,calls",
+        [(Thresholds.single(0.0), 1), (Thresholds(0.03, -0.02), 2)],
+        ids=["single", "distinct"],
+    )
+    def test_each_threshold_solved_once(self, monkeypatch, thresholds, calls):
+        seen = []
+
+        def counting(pair, r):
+            seen.append(r)
+            return rate_function(pair, r)
+
+        monkeypatch.setattr(hyptest, "rate_function", counting)
+        res = exact_exponents(SWAP_PAIR, thresholds)
+        assert len(seen) == calls
+        assert res.alpha1 == rate_function(SWAP_PAIR, -thresholds.lambda_bar)
+        assert res.alpha2 == rate_function(SWAP_PAIR, -thresholds.lambda_under)
+
 
 class TestMartingaleParams:
     def test_swap_pair_gammas(self):
