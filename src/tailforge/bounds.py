@@ -234,20 +234,31 @@ def _poly(profile: MomentProfile, x: float, j: int) -> float:
     )
 
 
+def _expm1_minus_x(x: float) -> float:
+    """e^x - 1 - x by its series x^2/2! + ... + x^12/12!, for |x| < 0.1."""
+    term = total = 0.5 * x * x
+    for k in range(3, 13):
+        term *= x / k
+        total += term
+    return total
+
+
 def _log_mgf_bound(profile: MomentProfile, x: float, delta: float):
     """f(x) = ln S(x) - delta*x and its first two derivatives, from one pass.
 
     S(x) = 1 + sum_{l<m}(gamma_l - gamma_m)x^l/l! + gamma_m(e^x-1-x) upper-bounds
     a conditional MGF; S >= 1 on x >= 0 as every gamma_l >= 0. For x <= 30,
-    ln S = log1p(S - 1) keeps small x's digits. Above, S = gamma_m e^x + r is
-    factored so huge x never overflows, and the slope (S' - delta*S)/S has its
-    gamma_m e^x terms cancelled by hand, so it keeps its sign when delta = 1.
+    ln S = log1p(S - 1) keeps small x's digits, as does e^x - 1 - x's series
+    below x = 0.1, where expm1(x) - x keeps only about 2eps/x. Above x = 30,
+    S = gamma_m e^x + r is factored so huge x never overflows, and the slope
+    (S' - delta*S)/S has its gamma_m e^x terms cancelled by hand, so it keeps
+    its sign when delta = 1.
     """
     gm = profile.gamma_m
     p = [_poly(profile, x, j) for j in range(3)]
     if x <= 30.0:
         em1 = math.expm1(x)
-        u = p[0] + gm * (em1 - x)  # S - 1
+        u = p[0] + gm * (_expm1_minus_x(x) if x < 0.1 else em1 - x)  # S - 1
         s, log_s = 1.0 + u, math.log1p(u)
         ds, s2 = p[1] + gm * em1 - delta * s, p[2] + gm * (em1 + 1.0)
     else:

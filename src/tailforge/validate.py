@@ -1,11 +1,10 @@
 """Ground-truth machinery: exact tails, binomial sandwiches, Monte Carlo.
 
 Exact tail probabilities for sums of i.i.d. finite-support zero-mean
-increments are computed by an array DP over the sums' integer lattice keys:
-an exact integer value lattice (rational supports) or a 1e-12-quantized
-lattice (irrational supports, worst-case threshold error n*1e-12). Its size
-is capped by the entries it holds and by the work of its n rounds. These
-serve as oracles proving the analytic bounds valid on small instances.
+increments are computed on one exact integer lattice of the values, by a
+dense array DP where the lattice is narrow and by multinomial count vectors
+elsewhere, capped by the entries held and the work done. These serve as
+oracles proving the analytic bounds valid on small instances.
 """
 
 from __future__ import annotations
@@ -24,14 +23,12 @@ from .pmf import FinitePmf
 from .specfun import binary_divergence
 
 _RATIONAL_DENOM_CAP = 10**6
-_QUANT = 10**12  # fallback value grid: 1e-12 bins
 _STATE_CAP = 5_000_000  # lattice entries the DP may hold
-# n * support size * entries held; on one Xeon core the dense kernel made
-# 9.2e9 updates in 4.0 s and the sorted merge 2e8 in 4.5 s
+# updates; on one Xeon core the dense kernel made 9.2e9 in 4.0 s
 _WORK_CAP = 10**10
-# dense kernel while the lattice width is at most this times the reachable
-# states: on two-point laws at n = 3000 it is 4x faster than the sorted
-# merge at steps (19, -1) (width/states 20) and 1.8x slower at (99, -1) (100)
+# dense kernel while the lattice width is at most this times the count vectors,
+# which keeps dense tails' bits. On one Xeon core count vectors take 1.0 ms for
+# steps (1, -1) at n = 3000 (dense 29), and 9.8 ms for (1, 0, -1) at n = 400 (3.4)
 _DENSE_FACTOR = 32
 _SAMPLE_BLOCK = 2**14  # Monte Carlo cells drawn per block in sample_sums
 _WILSON_Z = 1.959963984540054  # 95% normal quantile
@@ -49,7 +46,10 @@ class IncrementLaw:
     probs: tuple[float, ...]
 
     def __post_init__(self):
-        pmf = FinitePmf(tuple(float(v) for v in self.values), self.probs)
+        values = tuple(float(v) for v in self.values)
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"law values must be finite, got {values}")
+        pmf = FinitePmf(values, self.probs)
         values, probs = pmf.symbols, pmf.probs
         scale = max(abs(v) for v in values)
         mean = math.fsum(v * p for v, p in zip(values, probs))
@@ -144,35 +144,42 @@ class TailQuery:
 
 
 def _integer_lattice(values: Sequence[float]):
-    """Map values to integers a_i/L exactly, or None if not rational."""
-    fracs = []
-    for v in values:
-        f = Fraction(v).limit_denominator(_RATIONAL_DENOM_CAP)
-        if abs(float(f) - v) > 1e-12 * max(1.0, abs(v)):
-            return None
-        fracs.append(f)
+    """Integers a_i and one denominator L with a_i/L the exact value of each.
+
+    A value within 1e-12 (relative) of a rational with denominator up to 1e6
+    is taken as that rational; any other float as its exact binary fraction.
+    """
+    near = [Fraction(v).limit_denominator(_RATIONAL_DENOM_CAP) for v in values]
+    fracs = [
+        f if abs(float(f) - v) <= 1e-12 * max(1.0, abs(v)) else Fraction(v)
+        for f, v in zip(near, values)
+    ]
     denom = math.lcm(*(f.denominator for f in fracs))
     return [int(f * denom) for f in fracs], denom
 
 
-def _sparse_rounds(steps: list, probs: Sequence[float], n: int):
-    """Keys (descending) and probabilities of S_n by a sorted merge per round.
+def _count_masses(steps: list, probs: Sequence[float], n: int):
+    """Keys and probabilities of S_n, one per count vector of the p > 0 points.
 
-    Each round adds every step to every key and merges equal sums with
-    np.unique/np.bincount. bincount adds the terms of each key in input
-    order; keys descend, so each key meets its terms in ascending step
-    order. Keys are int64 while n*max|step| < 2**62 and exact Python ints
-    (dtype=object) beyond.
+    S_n depends only on how often each point is drawn, and that count
+    vector k (sum n) is multinomial: its mass is exp(ln n! - sum ln k_i! +
+    sum k_i ln p_i), from one lgamma table, and its key is k @ steps. Keys
+    are int64 while n*max|step| < 2**62 and exact Python ints beyond.
     """
+    live = [i for i, p in enumerate(probs) if p > 0.0]
+    counts = np.zeros((1, 0), dtype=np.int64)
+    for _ in live[1:]:  # append each coordinate but the last, which takes the rest
+        reps = n + 1 - counts.sum(axis=1)  # choices left for this coordinate
+        k = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+        counts = np.column_stack((counts.repeat(reps, axis=0), k))
+    counts = np.column_stack((counts, n - counts.sum(axis=1)))
+    log_fact = np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
+    log_p = np.log([probs[i] for i in live])
+    mass = np.exp(log_fact[n] - log_fact[counts].sum(axis=1) + counts @ log_p)
     dtype = np.int64 if n * max(map(abs, steps)) < 2**62 else object
-    step_keys, step_probs = np.array(steps, dtype=dtype), np.array(probs)
-    keys, dist = np.zeros(1, dtype=dtype), np.ones(1)
-    for _ in range(n):
-        sums = (keys[:, None] + step_keys).ravel()
-        keys, merge = np.unique(sums, return_inverse=True)
-        dist = np.bincount(merge, weights=(dist[:, None] * step_probs).ravel())
-        keys, dist = keys[::-1], dist[::-1]
-    return keys, dist
+    live_steps = np.array([steps[i] for i in live], dtype=dtype)
+    keys = counts.astype(dtype, copy=False) @ live_steps
+    return keys, mass
 
 
 def _dense_rounds(steps: list, probs: Sequence[float], n: int):
@@ -180,8 +187,7 @@ def _dense_rounds(steps: list, probs: Sequence[float], n: int):
 
     dist[i] holds key n*min(steps) + i. Each round adds p*dist into a
     slice shifted by step - min(steps), once per step in ascending step
-    order (ties in support order), so every key adds the same terms in the
-    same order as ``_sparse_rounds``; keys it never reaches hold exact zeros.
+    order (ties in support order); keys it never reaches hold exact zeros.
     Two buffers of the final width swap roles each round; a third holds
     the products.
     """
@@ -203,56 +209,38 @@ def _dense_rounds(steps: list, probs: Sequence[float], n: int):
 
 
 def exact_tail_dp(law: IncrementLaw, query: TailQuery) -> float:
-    """Exact tail of S_n = sum of n i.i.d. increments by lattice convolution.
+    """Exact tail of S_n = sum of n i.i.d. increments on an exact integer lattice.
 
-    Rational supports (denominators up to 1e6) use an exact integer
-    lattice, so threshold comparisons are exact; other supports are
-    quantized to a 1e-12 grid. With s support points, S_n takes at most
-    comb(n+s-1, s-1) values on a lattice of width n*(max step - min step)
-    + 1. Two kernels hold the distribution:
-
-    - dense (``_dense_rounds``), when the width is at most _DENSE_FACTOR
-      times the comb term and at most _STATE_CAP: an array over the whole
-      width, one shifted multiply-add per step and round;
-    - sparse (``_sparse_rounds``) otherwise, e.g. quantized supports
-      (width about n*1e12) or the two-point law at eps = 0.01 (steps
-      99, -1: width 100n+1 against n+1 values): only reachable keys, one
-      np.unique sort of states*s candidate sums per round.
-
-    Both add each key's float64 terms in ascending step order and the
-    dense kernel's extra keys are exact zeros, which math.fsum ignores, so
-    the two give bit-identical tails. InfeasibleError is raised before any
-    round when the entries held (the width if dense, else the smaller of
-    the two bounds) exceed _STATE_CAP, which bounds memory, or when
-    n * s * entries held exceeds _WORK_CAP, which bounds time.
+    ``_integer_lattice`` gives integer steps over one denominator, so the
+    threshold is compared with S_n's integer keys and ties are exact. With s
+    support points, S_n has at most comb = comb(n+s-1, s-1) count vectors on
+    a lattice of width n*(max step - min step) + 1. The dense kernel
+    (``_dense_rounds``) runs while the width is at most _DENSE_FACTOR * comb
+    and _STATE_CAP; count vectors (``_count_masses``) run otherwise, e.g. on
+    binary-fraction supports or steps (99, -1), width 100n+1 for n+1 vectors.
+    InfeasibleError is raised before any work when the entries held (width,
+    or comb) exceed _STATE_CAP, which bounds memory, or the updates
+    (n * s * width, or s * comb) exceed _WORK_CAP, which bounds time.
     """
     n = query.n
-    lattice = _integer_lattice(law.values)
-    if lattice is not None:
-        steps, denom = lattice
-        thresh = Fraction(query.threshold) * denom
-    else:
-        steps = [round(v * _QUANT) for v in law.values]
-        thresh = Fraction(round(query.threshold * _QUANT))
-
+    steps, denom = _integer_lattice(law.values)
     s = len(steps)
     width = n * (max(steps) - min(steps)) + 1
     comb = math.comb(n + s - 1, s - 1)
     dense = width <= min(_DENSE_FACTOR * comb, _STATE_CAP)
-    held = width if dense else min(comb, width)
-    work = n * s * held
+    held, work = (width, n * s * width) if dense else (comb, s * comb)
     if held > _STATE_CAP or work > _WORK_CAP:
         raise InfeasibleError(
             f"support {s}, n={n}: {held} lattice entries and {work} updates "
             f"exceed the caps ({_STATE_CAP} entries, {_WORK_CAP} updates)"
         )
 
-    keys, dist = (_dense_rounds if dense else _sparse_rounds)(steps, law.probs, n)
-    upper = math.fsum(dist[keys >= math.ceil(thresh)])
-    if not query.two_sided:
-        return min(1.0, upper)
-    lower = math.fsum(dist[keys <= math.floor(-thresh)])
-    return min(1.0, upper + lower)
+    keys, dist = (_dense_rounds if dense else _count_masses)(steps, law.probs, n)
+    thresh = Fraction(query.threshold) * denom
+    tail = math.fsum(dist[keys >= math.ceil(thresh)])
+    if query.two_sided:
+        tail += math.fsum(dist[keys <= math.floor(-thresh)])
+    return min(1.0, tail)
 
 
 @dataclass(frozen=True)

@@ -1,18 +1,21 @@
-"""A short traced benchmark worker run completes and certifies its pass."""
+"""Short traced benchmark worker runs complete and certify their pass."""
 
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_traced_analytic_sweep_worker():
+@pytest.mark.parametrize("workload", ["analytic_sweep", "oracle_certify"])
+def test_traced_worker(workload):
     proc = subprocess.run(
         [
             sys.executable, str(ROOT / "perfbench" / "worker.py"),
-            "--workload", "analytic_sweep", "--seed", "1", "--seconds", "0.2",
+            "--workload", workload, "--seed", "1", "--seconds", "0.2",
             "--trace", "1", "--root", str(ROOT),
         ],
         capture_output=True, text=True, timeout=300, check=False,

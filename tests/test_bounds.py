@@ -328,7 +328,7 @@ class TestThm4Cor4:
         assert oracle - 1e-12 <= ev.exponent <= oracle + 1e-6
 
     @pytest.mark.parametrize("gammas", [(0.5,), (0.5, 5 / 12, 3 / 8)], ids=["m2", "m4"])
-    @pytest.mark.parametrize("delta", [1e-4, 1e-6, 1e-8])
+    @pytest.mark.parametrize("delta", [1e-4, 1e-6, 1e-8, 1e-10, 1e-12])
     def test_small_delta_against_mpmath_sup(self, gammas, delta):
         # the sup sits at the root of S' - delta*S, here solved at 60 digits
         mpmath = pytest.importorskip("mpmath")
@@ -348,7 +348,17 @@ class TestThm4Cor4:
             x = mpmath.findroot(lambda x: ds(x) - d * s(x), d / g[0])
             want = float(d * x - mpmath.log(s(x)))
         got = thm4_exponent(MomentProfile(gammas), delta).exponent
-        assert abs(got - want) <= 1e-8 * want  # pytest.approx would add abs=1e-12
+        assert abs(got - want) <= 1e-11 * want  # pytest.approx would add abs=1e-12
+
+    @pytest.mark.parametrize("gammas", [(0.5,), (0.5, 5 / 12, 3 / 8)], ids=["m2", "m4"])
+    @pytest.mark.parametrize("delta", [1e-6, 0.3])
+    def test_continuity_at_series_switch(self, gammas, delta):
+        # e^x - 1 - x is a series below x = 0.1 and expm1(x) - x from there
+        profile = MomentProfile(gammas)
+        below = bounds._log_mgf_bound(profile, math.nextafter(0.1, 0.0), delta)
+        at = bounds._log_mgf_bound(profile, 0.1, delta)
+        for lo, hi in zip(below, at):
+            assert abs(lo - hi) <= 1e-15 * abs(hi)
 
     def test_nondecreasing_in_m_for_absolute_profiles(self):
         # absolute-moment profiles are nonincreasing in l, and the exponent

@@ -381,6 +381,30 @@ class TestSimulateCommand:
         assert code == 3
         assert "numerical failure" in err
 
+    @pytest.mark.parametrize(
+        "law,shown",
+        [
+            ({"values": [math.inf, 0.0], "probs": [0.0, 1.0]}, "(inf, 0.0)"),
+            (
+                {"values": [math.nan, 1.0, -1.0], "probs": [0.0, 0.5, 0.5]},
+                "(nan, 1.0, -1.0)",
+            ),
+            ({"values": [math.inf, -math.inf], "probs": [0.5, 0.5]}, "(inf, -inf)"),
+        ],
+        ids=["inf-zero-prob", "nan", "inf-minus-inf"],
+    )
+    def test_non_finite_law_values_named(self, capsys, tmp_path, law, shown):
+        cfg = tmp_path / "law.json"
+        cfg.write_text(json.dumps(law))  # json writes Infinity and NaN, and reads them
+        code, out, err = run_cli(
+            capsys, "simulate", "--law", str(cfg), "--k", "10",
+            "--threshold", "1", "--seed", "1",
+        )
+        assert code == 2
+        assert out == ""
+        message = f"increment-law JSON: law values must be finite, got {shown}"
+        assert err == f"config error: {message}\n"
+
     @pytest.mark.parametrize("threshold", ["inf", "1e400", "nan"])
     def test_non_finite_threshold_is_config_error(self, capsys, tmp_path, threshold):
         cfg = tmp_path / "law.json"

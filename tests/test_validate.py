@@ -1,5 +1,6 @@
 """Exact-tail oracles, sandwich checks, Monte Carlo and their cross-validation."""
 
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -28,6 +29,19 @@ class TestLawValidation:
     def test_zero_mean_enforced(self):
         with pytest.raises(ValueError):
             IncrementLaw((1.0, -0.5), (0.5, 0.5))
+
+    @pytest.mark.parametrize(
+        "values,probs",
+        [
+            ((math.inf, 0.0), (0.0, 1.0)),
+            ((math.nan, 1.0, -1.0), (0.0, 0.5, 0.5)),
+            ((math.inf, -math.inf), (0.5, 0.5)),
+        ],
+        ids=["inf-zero-prob", "nan", "inf-minus-inf"],
+    )
+    def test_non_finite_values_rejected(self, values, probs):
+        with pytest.raises(ValueError, match="law values must be finite"):
+            IncrementLaw(values, probs)
 
     def test_two_point_properties(self):
         law = two_point_increment(1.0, 0.01)
@@ -81,17 +95,54 @@ class TestExactTailDp:
             for k in (2, 7, 13, 20):
                 want = float(binom.sf(k - 1, n, p))
                 got = exact_tail_dp(law, TailQuery(n, k - n * p))
-                assert got == pytest.approx(want, rel=1e-12)
+                assert got == pytest.approx(want, rel=1e-12, abs=0)
 
-    def test_irrational_support_quantized(self):
-        # quantization shifts lattice points by up to n*1e-12, so keep the
-        # threshold safely between lattice values
+    def test_irrational_support(self):
         law = IncrementLaw((math.sqrt(2), -math.sqrt(2)), (0.5, 0.5))
         got = exact_tail_dp(law, TailQuery(12, 12 * math.sqrt(2) - 1e-6))
-        assert got == pytest.approx(2.0**-12, rel=1e-9)
+        assert got == pytest.approx(2.0**-12, rel=1e-12, abs=0)
         # mid-lattice threshold against the binomial closed form
         got = exact_tail_dp(law, TailQuery(12, 0.5 * math.sqrt(2)))
-        assert got == pytest.approx(float(binom.sf(6, 12, 0.5)), rel=1e-9)
+        assert got == pytest.approx(float(binom.sf(6, 12, 0.5)), rel=1e-12, abs=0)
+        # six draws of each sign sum to exactly 0, which counts as >= 0
+        got = exact_tail_dp(law, TailQuery(12, 0.0))
+        assert got == pytest.approx(float(binom.sf(5, 12, 0.5)), rel=1e-13, abs=0)
+        # 5e-12 below the top sum 100*sqrt(2): a 1e-12 grid misses it
+        got = exact_tail_dp(law, TailQuery(100, 100 * math.sqrt(2) - 5e-12))
+        assert got == pytest.approx(2.0**-100, rel=1e-13, abs=0)
+
+    def test_keys_beyond_int64(self):
+        # n * max|step| = 1e19 > 2**63: keys must not wrap around
+        law = IncrementLaw((1e18, -1e18), (0.5, 0.5))
+        assert exact_tail_dp(law, TailQuery(10, 1e19)) == pytest.approx(
+            2.0**-10, rel=1e-13, abs=0
+        )
+
+    def test_brute_force_on_an_exact_binary_support(self):
+        # sums are (3k - n)a for a = sqrt2 - 1, so thresholds j*a tie with them
+        # wherever j*a rounds exactly; the p = 0 point never counts
+        a = math.sqrt(2) - 1
+        law = IncrementLaw((2 * a, math.sqrt(7) / 2, -a), (1 / 3, 0.0, 2 / 3))
+        steps, denom = validate._integer_lattice(law.values)
+        exact = [Fraction(v) for v in law.values]
+        assert [Fraction(k, denom) for k in steps] == exact  # no rational snap
+        for n in range(1, 8):
+            paths = [
+                (sum(exact[i] for i in path), math.prod(law.probs[i] for i in path))
+                for path in itertools.product(range(3), repeat=n)
+            ]
+            thresholds = {j * a for j in range(-2 * n, 2 * n + 1)} | {0.0, a / 3}
+            for t in sorted(thresholds):
+                for two_sided in (False, True):
+                    want = math.fsum(
+                        mass
+                        for total, mass in paths
+                        if total >= Fraction(t) or (two_sided and total <= -Fraction(t))
+                    )
+                    got = exact_tail_dp(law, TailQuery(n, t, two_sided=two_sided))
+                    assert got == pytest.approx(min(1.0, want), rel=1e-13, abs=0), (
+                        n, t, two_sided,
+                    )
 
     def test_three_point_law(self):
         law = IncrementLaw((1.0, 0.0, -1.0), (0.25, 0.5, 0.25))
@@ -176,9 +227,14 @@ class TestExactTailDp:
 
 
 def _sparse_rounds_reference(steps, probs, n):
-    """The np.unique/np.bincount merge, kept here as the reference kernel."""
-    step_keys, step_probs = np.array(steps, dtype=np.int64), np.array(probs)
-    keys, dist = np.zeros(1, dtype=np.int64), np.ones(1)
+    """The np.unique/np.bincount merge, kept here as the reference kernel.
+
+    bincount adds the terms of each key in input order; keys descend, so
+    each key meets its terms in ascending step order, as in the dense kernel.
+    """
+    dtype = np.int64 if n * max(map(abs, steps)) < 2**62 else object
+    step_keys, step_probs = np.array(steps, dtype=dtype), np.array(probs)
+    keys, dist = np.zeros(1, dtype=dtype), np.ones(1)
     for _ in range(n):
         sums = (keys[:, None] + step_keys).ravel()
         keys, merge = np.unique(sums, return_inverse=True)
@@ -188,13 +244,8 @@ def _sparse_rounds_reference(steps, probs, n):
 
 
 def _reference_tail(law, query):
-    lattice = validate._integer_lattice(law.values)
-    if lattice is not None:
-        steps, denom = lattice
-        thresh = Fraction(query.threshold) * denom
-    else:
-        steps = [round(v * validate._QUANT) for v in law.values]
-        thresh = Fraction(round(query.threshold * validate._QUANT))
+    steps, denom = validate._integer_lattice(law.values)
+    thresh = Fraction(query.threshold) * denom
     keys, dist = _sparse_rounds_reference(steps, law.probs, query.n)
     upper = math.fsum(dist[keys >= math.ceil(thresh)])
     if not query.two_sided:
@@ -229,12 +280,13 @@ SPARSE_LAWS = {"irrational", "two_point_99"}
 
 
 class TestDenseKernel:
-    """The dense kernel reproduces the sparse merge bit for bit."""
+    """The dense kernel reproduces the sorted merge bit for bit; count
+    vectors, which add the masses in another order, agree to 1e-12."""
 
     @pytest.fixture
     def kernels(self, monkeypatch):
         used = []
-        for name in ("_dense_rounds", "_sparse_rounds"):
+        for name in ("_dense_rounds", "_count_masses"):
             def record(*args, _name=name, _kernel=getattr(validate, name)):
                 used.append(_name)
                 return _kernel(*args)
@@ -250,8 +302,11 @@ class TestDenseKernel:
             for two_sided in (False, True):
                 q = TailQuery(n, x * law.d * n, two_sided=two_sided)
                 got, want = exact_tail_dp(law, q), _reference_tail(law, q)
-                assert got.hex() == want.hex(), (x, two_sided)
-        kernel = "_sparse_rounds" if label in SPARSE_LAWS else "_dense_rounds"
+                if label in SPARSE_LAWS:
+                    assert got == pytest.approx(want, rel=1e-12, abs=0), (x, two_sided)
+                else:
+                    assert got.hex() == want.hex(), (x, two_sided)
+        kernel = "_count_masses" if label in SPARSE_LAWS else "_dense_rounds"
         assert set(kernels) == {kernel}
 
     @pytest.mark.parametrize(
