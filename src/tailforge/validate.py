@@ -257,8 +257,10 @@ def types_sandwich_check(p: float, n: int, r: float) -> SandwichTriple:
     """Method-of-types sandwich for i.i.d. Bernoulli(p), p <= r <= 1.
 
     r is rounded up to the type lattice k/n; exact is the binomial upper
-    tail P(S >= k) computed with exact binomial coefficients. A coefficient
-    above the float range (possible once n >= 1030) raises InfeasibleError.
+    tail P(S >= k), from the exact coefficient C(n, k) for its first term
+    and the ratio (n-k)/(k+1) * p/(1-p) for each next one (the terms fall,
+    as k >= np). A first coefficient above the float range (possible once
+    n >= 1030) raises InfeasibleError.
     """
     if not 0.0 < p <= 0.5:
         raise ValueError("p must lie in (0, 1/2]")
@@ -266,26 +268,24 @@ def types_sandwich_check(p: float, n: int, r: float) -> SandwichTriple:
         raise ValueError("n must be >= 1")
     if not p <= r <= 1.0:
         raise ValueError("r must lie in [p, 1]")
-    k0 = math.ceil(Fraction(r) * n)
-    r_eff = k0 / n
+    num, den = r.as_integer_ratio()
+    k0 = -(-num * n // den)  # ceil(r * n), exact
+    r_eff, q = k0 / n, 1.0 - p
     try:
-        exact = math.fsum(
-            math.comb(n, k) * p**k * (1.0 - p) ** (n - k) for k in range(k0, n + 1)
-        )
+        term = math.comb(n, k0) * p**k0 * q ** (n - k0)
     except OverflowError:
         raise InfeasibleError(
-            f"n={n}: a binomial coefficient C(n, k) exceeds the float range "
-            "(every one fits for n <= 1029)"
+            f"n={n}: C(n, {k0}) exceeds the float range (all fit for n <= 1029)"
         ) from None
-    if k0 == n:
-        # boundary cell: e^{-n D(1||p)} = p^n exactly; evaluate it as such
-        # so the float sandwich is not broken by exp/log round-off
-        upper = p**n
-    else:
-        upper = math.exp(-n * binary_divergence(r_eff, p))
-    return SandwichTriple(
-        lower=upper / (n + 1), exact=exact, upper=upper, r_lattice=r_eff
-    )
+    terms, ratio = [term], p / q
+    for k in range(k0, n):
+        term *= (n - k) / (k + 1) * ratio
+        terms.append(term)
+    exact = math.fsum(terms)
+    # boundary cell: e^{-n D(1||p)} = p^n exactly; evaluate it as such so the
+    # float sandwich is not broken by exp/log round-off
+    upper = p**n if k0 == n else math.exp(-n * binary_divergence(r_eff, p))
+    return SandwichTriple(upper / (n + 1), exact, upper, r_eff)
 
 
 @dataclass(frozen=True)

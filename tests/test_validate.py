@@ -360,6 +360,22 @@ class TestSandwich:
                     res = types_sandwich_check(p, n, k / n)
                     assert res.lower <= res.exact <= res.upper
 
+    @pytest.mark.parametrize("p", [0.1, 0.3, 0.5])
+    def test_exact_against_rational_tail(self, p):
+        # the term recurrence stays within a few ulps of the rational tail
+        fp = Fraction(p)
+        for n in (5, 17, 40, 64):
+            for k in range(math.ceil(n * p), n + 1):
+                res = types_sandwich_check(p, n, k / n)
+                k_eff = round(res.r_lattice * n)  # the float k/n can lie above k/n
+                want = sum(math.comb(n, j) * fp**j * (1 - fp) ** (n - j) for j in range(k_eff, n + 1))
+                assert res.exact == pytest.approx(float(want), rel=1e-14, abs=0)
+
+    def test_lattice_rounds_exact_value_of_r_up(self):
+        # 0.1 * 3 is just above 0.3, so it rounds up to 4/10, not 3/10
+        assert types_sandwich_check(0.1, 10, 0.1 * 3).r_lattice == 0.4
+        assert types_sandwich_check(0.1, 10, 0.3).r_lattice == 0.3
+
     def test_exponent_converges(self):
         # (-ln exact)/n approaches D(r||p) from above, gap < ln(n+1)/n
         from tailforge.specfun import binary_divergence
