@@ -32,6 +32,7 @@ _WORK_CAP = 10**10
 _DENSE_FACTOR = 32
 _SAMPLE_BLOCK = 2**14  # Monte Carlo cells drawn per block in sample_sums
 _WILSON_Z = 1.959963984540054  # 95% normal quantile
+_FLOAT_MIN = sys.float_info.min  # smallest normal double
 
 
 class InfeasibleError(ValueError):
@@ -271,12 +272,21 @@ def types_sandwich_check(p: float, n: int, r: float) -> SandwichTriple:
     num, den = r.as_integer_ratio()
     k0 = -(-num * n // den)  # ceil(r * n), exact
     r_eff, q = k0 / n, 1.0 - p
+    pk = p**k0
     try:
-        term = math.comb(n, k0) * p**k0 * q ** (n - k0)
+        term = math.comb(n, k0) * pk * q ** (n - k0)
     except OverflowError:
         raise InfeasibleError(
             f"n={n}: C(n, {k0}) exceeds the float range (all fit for n <= 1029)"
         ) from None
+    if pk < _FLOAT_MIN and k0 < n:
+        # p**k0 lost digits to underflow where the term need not: carry its
+        # binary exponent, with p's mantissa in [0.75, 1.5) so mp**k0 and the
+        # product stay normal (k0 = n keeps p**n, which upper also uses)
+        (mc, ec), (mp, ep) = math.frexp(math.comb(n, k0)), math.frexp(p)
+        if mp < 0.75:
+            mp, ep = 2.0 * mp, ep - 1
+        term = math.ldexp(mc * mp**k0 * q ** (n - k0), ec + ep * k0)
     terms, ratio = [term], p / q
     for k in range(k0, n):
         term *= (n - k) / (k + 1) * ratio

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,9 +11,11 @@ import pytest
 
 from tailforge import bounds
 from tailforge.codingapps import (
+    _GRID_FACTOR,
     DmcChannel,
     LdpcEnsemble,
     OfdmModel,
+    _crest_factors,
     bhattacharyya,
     bsc,
     channel_moment_profile,
@@ -452,8 +455,82 @@ class TestOfdmMartingaleCheck:
         b = ofdm_martingale_check(model, trials=60, seed=42)
         assert a == b
 
+    @pytest.mark.parametrize("inner", [0, -1])
+    def test_inner_below_one_rejected(self, inner):
+        with pytest.raises(ValueError, match="inner must be >= 1"):
+            ofdm_martingale_check(OfdmModel(n=8, M=4), 5, 1, inner=inner)
+
+    @pytest.mark.parametrize(
+        "n,M,inner,trials,seed", [(8, 4, 8, 40, 7), (16, 2, 3, 30, 5), (5, 8, 1, 25, 9)]
+    )
+    def test_against_one_fft_per_row(self, n, M, inner, trials, seed):
+        # the same draws, with every one of the inner * (M + 1) rows transformed
+        rng = np.random.default_rng(seed)
+        points = OfdmModel(n, M).constellation()
+        incs, sec = [], []
+        for _ in range(trials):
+            prefix = points[rng.integers(0, M, size=n)]
+            i = int(rng.integers(1, n + 1))
+            suffix = points[rng.integers(0, M, size=(inner, n - i))]
+            block = np.empty((inner, M + 1, n), dtype=complex)
+            block[:, :, : i - 1] = prefix[: i - 1]
+            block[:, 0, i - 1] = prefix[i - 1]
+            block[:, 1:, i - 1] = points
+            block[:, :, i:] = suffix[:, None, :]
+            spectrum = np.fft.fft(block, n=_GRID_FACTOR * n, axis=-1)
+            cf = np.abs(spectrum).max(axis=-1) / math.sqrt(n)
+            y_prev = cf[:, 1:].mean()
+            incs.append(abs(cf[:, 0].mean() - y_prev))
+            sec.append(np.mean((cf[:, 1:].mean(axis=0) - y_prev) ** 2))
+        rep = ofdm_martingale_check(OfdmModel(n, M), trials, seed, inner)
+        bound = 2.0 / math.sqrt(n)
+        assert rep.violations == sum(inc > bound * (1 + 1e-12) for inc in incs)
+        assert rep.max_increment == pytest.approx(max(incs), rel=1e-13, abs=0)
+        assert rep.second_moment_mean == pytest.approx(np.mean(sec), rel=1e-13, abs=0)
+        assert rep.second_moment_se == pytest.approx(
+            np.std(sec) / math.sqrt(trials), rel=1e-13, abs=0
+        )
+
+    def test_memory_is_per_block_not_per_trial(self):
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                ofdm_martingale_check(OfdmModel(n=64, M=4), trials, 1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(1000) <= 2 * peak(100)
+
     def test_psk_constellation_unit_modulus(self):
         model = OfdmModel(n=4, M=8)
         pts = model.constellation()
         assert np.allclose(np.abs(pts), 1.0)
         assert len(set(np.round(pts, 12))) == 8
+
+
+class TestCrestFactors:
+    @pytest.mark.parametrize("inner", [1, 4, 8])
+    @pytest.mark.parametrize("M", [2, 4, 8])
+    @pytest.mark.parametrize("n", [1, 2, 8, 16, 64])
+    def test_against_direct_fft_of_every_row(self, n, M, inner):
+        rng = np.random.default_rng(100 * n + 10 * M + inner)
+        points = OfdmModel(n, M).constellation()
+        grid = _GRID_FACTOR * n
+        for c in sorted({0, n // 2, n - 1}):  # no prefix, both, no suffix
+            prefix = points[rng.integers(0, M, size=c)]
+            suffix = points[rng.integers(0, M, size=(inner, n - c - 1))]
+            base = np.zeros((inner, grid), dtype=complex)
+            base[:, 1 : n - c] = suffix
+            base[:, grid - c :] = prefix
+            got = _crest_factors(base, points)
+            rows = np.empty((inner, M, n), dtype=complex)
+            rows[:, :, :c] = prefix
+            rows[:, :, c] = points
+            rows[:, :, c + 1 :] = suffix[:, None, :]
+            direct = np.abs(np.fft.fft(rows, n=grid, axis=-1)).max(axis=-1)
+            np.testing.assert_allclose(got, direct / math.sqrt(n), rtol=1e-13, atol=0)
+            # the bin pruning drops no maximum: every bin gives the same floats
+            spectrum = np.fft.fft(base, axis=-1)
+            unpruned = np.abs(spectrum[:, :, None] + points).max(axis=1)
+            assert np.array_equal(got, unpruned / math.sqrt(n))

@@ -371,6 +371,33 @@ class TestSandwich:
                 want = sum(math.comb(n, j) * fp**j * (1 - fp) ** (n - j) for j in range(k_eff, n + 1))
                 assert res.exact == pytest.approx(float(want), rel=1e-14, abs=0)
 
+    def test_first_term_survives_underflow_of_p_power(self):
+        # 0.2709**671 underflows although the first term is about 1.8e-161
+        res = types_sandwich_check(0.2709, 976, 671 / 976)
+        num, den = (0.2709).as_integer_ratio()
+        tail = sum(math.comb(976, j) * num**j * (den - num) ** (976 - j) for j in range(671, 977))
+        assert res.exact == pytest.approx(float(Fraction(tail, den**976)), rel=1e-12, abs=0)
+        assert res.lower <= res.exact <= res.upper
+
+    def test_sandwich_holds_on_random_cells(self):
+        rng = np.random.default_rng(2709)
+        bad = []
+        for _ in range(300):
+            p = float(rng.uniform(0.01, 0.5))
+            n = int(rng.integers(1, 1030))
+            k = int(rng.integers(math.ceil(n * p), n + 1))
+            res = types_sandwich_check(p, n, max(p, k / n))
+            if not res.lower <= res.exact <= res.upper:
+                bad.append((p, n, k, res))
+        assert not bad
+
+    def test_boundary_cell_is_p_to_the_n(self):
+        # p**n is subnormal in the last two, where ldexp(mp**n, ep * n) rounds
+        # it differently
+        for p, n in ((0.3, 40), (0.06278803568808126, 256), (0.4883928804069443, 990)):
+            res = types_sandwich_check(p, n, 1.0)
+            assert res.exact == res.upper == p**n
+
     def test_lattice_rounds_exact_value_of_r_up(self):
         # 0.1 * 3 is just above 0.3, so it rounds up to 4/10, not 3/10
         assert types_sandwich_check(0.1, 10, 0.1 * 3).r_lattice == 0.4
