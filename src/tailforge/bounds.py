@@ -25,20 +25,6 @@ from .specfun import (
     lambert_wm1_logarg,
 )
 
-METHOD_TAGS = (
-    "azuma",
-    "thm2",
-    "thm3",
-    "cor3",
-    "cor4",
-    "thm4",
-    "cor6",
-    "pinsker",
-    "refined_pinsker",
-    "chung_lu",
-)
-
-
 @dataclass(frozen=True)
 class MartingaleSpec:
     """Uniform jump bound d and conditional-variance bound sigma^2.
@@ -109,20 +95,20 @@ class MomentProfile:
 
 @dataclass(frozen=True)
 class ExponentValue:
-    """A non-negative exponent (nats/step) tagged with its producing method."""
+    """A non-negative exponent (nats/step) and what its solver found.
+
+    ``params`` holds only solver outputs: the optimising ``x`` (thm3, thm4,
+    cor4, cor6), thm4's ``at_ceiling`` flag and cor6's ``fallback`` flag.
+    """
 
     exponent: float
-    method: str
     params: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
-        if math.isnan(self.exponent) or self.exponent < -1e-12:
+        if not self.exponent >= -1e-12:
             raise ValueError(f"exponent must be >= 0, got {self.exponent}")
         if self.exponent < 0.0:
             object.__setattr__(self, "exponent", 0.0)
-        base = self.method.split("(")[0]
-        if base not in METHOD_TAGS:
-            raise ValueError(f"unknown method tag {self.method!r}")
 
 
 def tail_bound(value: ExponentValue, n: int, two_sided: bool = True) -> float:
@@ -149,24 +135,20 @@ def divergence_exponent(gamma: float, delta: float) -> float:
 def azuma_exponent(spec: MartingaleSpec, alpha: float) -> ExponentValue:
     """Azuma's exponent delta^2/2 for P(|X_n - X_0| >= alpha*n)."""
     delta = spec.delta(alpha)
-    return ExponentValue(delta * delta / 2.0, "azuma", {"delta": delta})
+    return ExponentValue(delta * delta / 2.0)
 
 
 def thm2_exponent(spec: MartingaleSpec, alpha: float) -> ExponentValue:
     """Bennett-route divergence exponent D((delta+gamma)/(1+gamma)||gamma/(1+gamma))."""
-    gamma, delta = spec.gamma, spec.delta(alpha)
-    return ExponentValue(
-        divergence_exponent(gamma, delta), "thm2", {"gamma": gamma, "delta": delta}
-    )
+    return ExponentValue(divergence_exponent(spec.gamma, spec.delta(alpha)))
 
 
 def pinsker_loosened_exponent(spec: MartingaleSpec, alpha: float) -> ExponentValue:
     """Pinsker loosening 2*(delta/(1+gamma))^2 of the divergence exponent."""
     gamma, delta = spec.gamma, spec.delta(alpha)
     if delta > 1.0:
-        return ExponentValue(math.inf, "pinsker", {"gamma": gamma, "delta": delta})
-    e = 2.0 * (delta / (1.0 + gamma)) ** 2
-    return ExponentValue(e, "pinsker", {"gamma": gamma, "delta": delta})
+        return ExponentValue(math.inf)
+    return ExponentValue(2.0 * (delta / (1.0 + gamma)) ** 2)
 
 
 def refined_pinsker_exponent(delta: float) -> ExponentValue:
@@ -178,10 +160,10 @@ def refined_pinsker_exponent(delta: float) -> ExponentValue:
     if delta < 0.0:
         raise ValueError("delta must be non-negative")
     if delta > 1.0:
-        return ExponentValue(math.inf, "refined_pinsker", {"delta": delta})
+        return ExponentValue(math.inf)
     d2 = delta * delta
     e = d2 / 2.0 + d2 * d2 / 36.0 + d2**3 / 270.0 + 221.0 * d2**4 / 340220.0
-    return ExponentValue(e, "refined_pinsker", {"delta": delta})
+    return ExponentValue(e)
 
 
 def cor3_exponent(spec: MartingaleSpec, alpha: float) -> ExponentValue:
@@ -191,8 +173,7 @@ def cor3_exponent(spec: MartingaleSpec, alpha: float) -> ExponentValue:
     """
     gamma, delta = spec.gamma, spec.delta(alpha)
     u = delta / gamma
-    e = gamma * ((1.0 + u) * math.log1p(u) - u)
-    return ExponentValue(e, "cor3", {"gamma": gamma, "delta": delta})
+    return ExponentValue(gamma * ((1.0 + u) * math.log1p(u) - u))
 
 
 def thm3_exponent(spec: MartingaleSpec, alpha: float) -> ExponentValue:
@@ -203,13 +184,12 @@ def thm3_exponent(spec: MartingaleSpec, alpha: float) -> ExponentValue:
     f(delta) (the closed form divides by 1-gamma).
     """
     gamma, delta = spec.gamma, spec.delta(alpha)
-    params = {"gamma": gamma, "delta": delta}
     if delta > 1.0:
-        return ExponentValue(math.inf, "thm3", params)
+        return ExponentValue(math.inf)
     if delta == 1.0:
-        return ExponentValue(math.log(4.0 / (1.0 + gamma)), "thm3", params)
+        return ExponentValue(math.log(4.0 / (1.0 + gamma)))
     if 1.0 - gamma <= 1e-9:
-        return ExponentValue(f_delta(delta), "thm3", params)
+        return ExponentValue(f_delta(delta))
     # w = -e^a would underflow for gamma near 1; keep its log instead
     k = (gamma + delta) / ((1.0 + delta) * (1.0 - gamma))
     log_neg_w = (
@@ -221,7 +201,7 @@ def thm3_exponent(spec: MartingaleSpec, alpha: float) -> ExponentValue:
     u = (1.0 + gamma) / 4.0 * math.exp((1.0 - delta) * x)
     v = (0.5 + (1.0 + 2.0 * x) * (1.0 - gamma) / 4.0) * math.exp(-(1.0 + delta) * x)
     e = -math.log(u + v)
-    return ExponentValue(max(0.0, e), "thm3", {**params, "x": x})
+    return ExponentValue(max(0.0, e), {"x": x})
 
 
 def _poly(profile: MomentProfile, x: float, j: int) -> float:
@@ -310,16 +290,14 @@ def thm4_exponent(profile: MomentProfile, delta: float) -> ExponentValue:
     flags a minimizer pinned at the ceiling (the infimum may then sit at
     x -> inf and the reported exponent is a valid lower bound of it).
     """
-    method = f"thm4(m={profile.m})"
-    params = {"m": profile.m, "delta": delta}
     if delta < 0.0:
         raise ValueError("delta must be non-negative")
     if delta > 1.0:
-        return ExponentValue(math.inf, method, params)
+        return ExponentValue(math.inf)
     if delta == 0.0:
-        return ExponentValue(0.0, method, params)
+        return ExponentValue(0.0)
     if delta == 1.0 and profile.m == 2:
-        return ExponentValue(_cor4_delta1(profile.gamma2), method, params)
+        return ExponentValue(_cor4_delta1(profile.gamma2))
     gm = profile.gamma_m
     ceiling = max(50.0, 4.0 / gm if gm > 0.0 else 0.0)
     ceiling = min(max(ceiling, 10.0 / (1.0 - delta) if delta < 1.0 else 0.0), 1e6)
@@ -336,7 +314,7 @@ def thm4_exponent(profile: MomentProfile, delta: float) -> ExponentValue:
             t = min(b, delta / g2) if a == 0.0 and g2 > 0.0 else a
             x, fmin = min((x, fmin), newton_min(f, a, b, t), key=lambda c: c[1])
     hit = x >= ceiling - 1e-9 * ceiling
-    return ExponentValue(max(0.0, -fmin), method, {**params, "x": x, "at_ceiling": hit})
+    return ExponentValue(max(0.0, -fmin), {"x": x, "at_ceiling": hit})
 
 
 def _cor4_delta1(gamma: float) -> float:
@@ -355,21 +333,20 @@ def cor4_exponent(gamma: float, delta: float) -> ExponentValue:
     if not 0.0 < gamma <= 1.0 + BOUNDARY_CLAMP:
         raise ValueError("gamma must lie in (0, 1]")
     gamma = min(gamma, 1.0)
-    params = {"gamma": gamma, "delta": delta}
     if delta < 0.0:
         raise ValueError("delta must be non-negative")
     if delta > 1.0:
-        return ExponentValue(math.inf, "cor4", params)
+        return ExponentValue(math.inf)
     if delta == 0.0:
-        return ExponentValue(0.0, "cor4", params)
+        return ExponentValue(0.0)
     if delta == 1.0:
-        return ExponentValue(_cor4_delta1(gamma), "cor4", params)
+        return ExponentValue(_cor4_delta1(gamma))
     x = cor4_optimal_x(gamma, delta)
     if x <= 30.0:  # ln(1 + u), not log1p(u): pinned by the exp_small_delta_out golden
         e = delta * x - math.log(1.0 + gamma * (math.expm1(x) - x))
     else:
         e = -_log_mgf_bound(MomentProfile((gamma,)), x, delta)[0]
-    return ExponentValue(max(0.0, e), "cor4", {**params, "x": x})
+    return ExponentValue(max(0.0, e), {"x": x})
 
 
 def cor4_optimal_x(gamma: float, delta: float) -> float:
@@ -387,7 +364,6 @@ def cor6_suboptimal(profile: MomentProfile, delta: float):
     optimal x of the m = 2 closed form. Returns (x, ExponentValue); on the
     degenerate c <= 0 the numeric minimizer is used and flagged.
     """
-    method = f"cor6(m={profile.m})"
     if not 0.0 < delta <= 1.0:
         raise ValueError("delta must lie in (0, 1]")
     g2, gm = profile.gamma2, profile.gamma_m
@@ -396,20 +372,17 @@ def cor6_suboptimal(profile: MomentProfile, delta: float):
     a = 1.0 / g2
     b = (gm / g2) * (1.0 / delta - 1.0)
     c = 1.0 / delta - b
-    params = {"m": profile.m, "delta": delta}
     if c <= 0.0:
         ev = thm4_exponent(profile, delta)
         x = ev.params.get("x", 0.0)
-        return x, ExponentValue(
-            ev.exponent, method, {**params, "x": x, "fallback": True}
-        )
+        return x, ExponentValue(ev.exponent, {"x": x, "fallback": True})
     if b == 0.0:
         x = (a + b) / c
     else:
         log_w = math.log(b / c) + (a + b) / c
         x = (a + b) / c - lambert_w0_exparg(log_w)
     e = -_log_mgf_bound(profile, x, delta)[0]
-    return x, ExponentValue(max(0.0, e), method, {**params, "x": x})
+    return x, ExponentValue(max(0.0, e), {"x": x})
 
 
 def chung_lu_exponent(gamma: float, delta: float) -> ExponentValue:
@@ -418,8 +391,7 @@ def chung_lu_exponent(gamma: float, delta: float) -> ExponentValue:
         raise ValueError("gamma must lie in (0, 1]")
     if delta < 0.0:
         raise ValueError("delta must be non-negative")
-    e = delta * delta / (2.0 * gamma + 2.0 * delta / 3.0)
-    return ExponentValue(e, "chung_lu", {"gamma": gamma, "delta": delta})
+    return ExponentValue(delta * delta / (2.0 * gamma + 2.0 * delta / 3.0))
 
 
 @dataclass(frozen=True)
@@ -449,7 +421,6 @@ def small_deviation_bound(
 
 @dataclass(frozen=True)
 class MdpRow:
-    n: int
     scaled_log_divergence: float
     scaled_log_azuma: float
 
@@ -478,7 +449,6 @@ def mdp_exponent_check(
         scale = float(n) ** (1.0 - 2.0 * eta)
         rows.append(
             MdpRow(
-                n=n,
                 scaled_log_divergence=-scale * n * div,
                 scaled_log_azuma=-scale * n * delta_n * delta_n / 2.0,
             )

@@ -110,7 +110,6 @@ class PairwiseBound:
     """Exponential pairwise-error base: P_h <= base^h for Hamming weight h."""
 
     base: float
-    method: str
 
     def prob(self, h: int) -> float:
         if h < 0:
@@ -121,7 +120,7 @@ class PairwiseBound:
 def bhattacharyya(channel: DmcChannel) -> PairwiseBound:
     """Z_B = sum_y sqrt(P(y|0) P(y|1))."""
     zb = float(np.sum(np.sqrt(channel.p0.as_array() * channel.p1.as_array())))
-    return PairwiseBound(base=zb, method="bhattacharyya")
+    return PairwiseBound(base=zb)
 
 
 def z1(channel: DmcChannel) -> PairwiseBound:
@@ -132,9 +131,7 @@ def z1(channel: DmcChannel) -> PairwiseBound:
     with jump bound d = max_y |llr(y) - D|. Equals Z_B exactly on the BSC.
     """
     profile, delta = channel_moment_profile(channel, 2)
-    return PairwiseBound(
-        base=math.exp(-divergence_exponent(profile.gamma2, delta)), method="z1"
-    )
+    return PairwiseBound(base=math.exp(-divergence_exponent(profile.gamma2, delta)))
 
 
 def channel_moment_profile(channel: DmcChannel, m: int):
@@ -163,14 +160,14 @@ def z2m(channel: DmcChannel, m: int) -> PairwiseBound:
     """Higher-moment base Z2^(m) = exp(-E4) with the order-m profile."""
     profile, delta = channel_moment_profile(channel, m)
     ev = bounds.thm4_exponent(profile, delta)
-    return PairwiseBound(base=math.exp(-ev.exponent), method=f"z2({m})")
+    return PairwiseBound(base=math.exp(-ev.exponent))
 
 
 def z2m_tilde(channel: DmcChannel, m: int) -> PairwiseBound:
     """Closed-form base Z2~^(m) >= Z2^(m), equal at m = 2."""
     profile, delta = channel_moment_profile(channel, m)
     _, ev = bounds.cor6_suboptimal(profile, delta)
-    return PairwiseBound(base=math.exp(-ev.exponent), method=f"z2tilde({m})")
+    return PairwiseBound(base=math.exp(-ev.exponent))
 
 
 @dataclass(frozen=True)
@@ -198,9 +195,9 @@ class LdpcEnsemble:
         object.__setattr__(self, "n", n)
         for name, coeffs in (("lambda", self.lambda_coeffs), ("rho", self.rho_coeffs)):
             coeffs = tuple(float(c) for c in coeffs)
-            if not coeffs or any(c < 0.0 for c in coeffs):
+            if not coeffs or not all(c >= 0.0 for c in coeffs):  # NaN fails
                 raise ValueError(f"{name} coefficients must be non-negative")
-            if abs(math.fsum(coeffs) - 1.0) > 1e-9:
+            if not abs(math.fsum(coeffs) - 1.0) <= 1e-9:
                 raise ValueError(f"{name} coefficients must sum to 1")
             object.__setattr__(
                 self, "lambda_coeffs" if name == "lambda" else "rho_coeffs", coeffs
@@ -255,8 +252,8 @@ def ldpc_cycles_bound(ensemble: LdpcEnsemble, alpha: float) -> LdpcCyclesBound:
     bound is 2 e^(-n f(beta)) with the bounded-jump kernel f, and the
     Azuma-loosened variant is 2 e^(-beta^2 n / 2).
     """
-    if alpha < 0.0:
-        raise ValueError("alpha must be non-negative")
+    if not alpha >= 0.0:
+        raise ValueError(f"alpha must be non-negative, got {alpha!r}")
     rd = ensemble.design_rate
     ar = ensemble.avg_right_degree
     beta = alpha / ((1.0 - rd) * ar)
@@ -306,8 +303,8 @@ def ofdm_cf_bounds(model: OfdmModel, alpha: float) -> OfdmCfBounds:
     rescaling by sqrt(n), so gamma = 1/2 and delta = alpha/2; the refined
     bound comes from the sqrt(n)-deviation kernel.
     """
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
+    if not alpha > 0.0:
+        raise ValueError(f"alpha must be positive, got {alpha!r}")
     sd = bounds.small_deviation_bound(MartingaleSpec(d=2.0, sigma2=2.0), alpha, model.n)
     return OfdmCfBounds(
         azuma=2.0 * math.exp(-(alpha**2) / 8.0),
@@ -351,9 +348,6 @@ def _crest_factors(base: np.ndarray, points: np.ndarray) -> np.ndarray:
 class OfdmMartingaleReport:
     """Sampled Doob-increment statistics for the crest-factor martingale."""
 
-    n: int
-    M: int
-    trials: int
     jump_bound: float  # 2/sqrt(n)
     max_increment: float
     violations: int
@@ -413,9 +407,6 @@ def ofdm_martingale_check(
         sec_moments[lo : lo + count] = np.mean(per_value**2, axis=1)
 
     return OfdmMartingaleReport(
-        n=n,
-        M=M,
-        trials=trials,
         jump_bound=bound,
         max_increment=float(incs.max()),
         violations=int(np.count_nonzero(incs > bound * (1.0 + 1e-12))),

@@ -194,19 +194,14 @@ class MartingaleParams:
     """Jump/variance statistics of the revealed-sample log-LR martingales.
 
     Under H_i the Doob martingale of L_n has jumps bounded by d_i;
-    sigma_i^2 bounds their conditional second moment. The epsilons are the
-    threshold gaps and delta_{i,j} = eps_{i,j}/d_i (j = 1: error-or-
-    erasure event, j = 2: error-only event).
+    sigma_i^2 bounds their conditional second moment and gamma_i =
+    sigma_i^2/d_i^2. delta_{i,j} is the gap between D and the threshold over
+    d_i (j = 1: error-or-erasure event, j = 2: error-only event).
     """
 
     d1: float
     d2: float
     sigma1sq: float
-    sigma2sq: float
-    eps11: float
-    eps21: float
-    eps12: float
-    eps22: float
     gamma1: float
     gamma2: float
     delta11: float
@@ -234,25 +229,16 @@ def martingale_params(
     d12, d21, d1, d2 = m12.D, m21.D, m12.d, m21.d
     sigma1sq = m12.moment(2)
     sigma2sq = float(np.dot(m21.probs, (m21.llr + d21) ** 2))
-    eps11 = d12 - thresholds.lambda_bar
-    eps21 = d21 + thresholds.lambda_under
-    eps12 = d12 - thresholds.lambda_under
-    eps22 = d21 + thresholds.lambda_bar
     return MartingaleParams(
         d1=d1,
         d2=d2,
         sigma1sq=sigma1sq,
-        sigma2sq=sigma2sq,
-        eps11=eps11,
-        eps21=eps21,
-        eps12=eps12,
-        eps22=eps22,
         gamma1=sigma1sq / d1**2,
         gamma2=sigma2sq / d2**2,
-        delta11=eps11 / d1,
-        delta21=eps21 / d2,
-        delta12=eps12 / d1,
-        delta22=eps22 / d2,
+        delta11=(d12 - thresholds.lambda_bar) / d1,
+        delta21=(d21 + thresholds.lambda_under) / d2,
+        delta12=(d12 - thresholds.lambda_under) / d1,
+        delta22=(d21 + thresholds.lambda_bar) / d2,
     )
 
 
@@ -353,7 +339,6 @@ def fisher_information(family: ParametricFamily, theta: float) -> float:
 class FisherLimitRow:
     """One straddle P_{theta+off} vs P_{theta-off} of the local-limit table."""
 
-    offset: float
     delta_theta: float
     chernoff_ratio: float  # C / (delta_theta)^2
     refined_ratio: float  # E_L / (delta_theta)^2
@@ -380,7 +365,6 @@ def fisher_limit_check(
         dth2 = (2.0 * off) ** 2
         rows.append(
             FisherLimitRow(
-                offset=off,
                 delta_theta=2.0 * off,
                 chernoff_ratio=chernoff_information(pair) / dth2,
                 refined_ratio=refined_lower_bounds(pair).error / dth2,
@@ -410,8 +394,8 @@ def moderate_deviation_hyptest(
     slope -eps1^2 / (2 sigma1^2). Requires n large enough that
     delta_1^(eta, n) = eps1 n^-(1-eta) / d1 < 1.
     """
-    if eps1 <= 0.0:
-        raise ValueError("eps1 must be positive")
+    if not eps1 > 0.0:
+        raise ValueError(f"eps1 must be positive, got {eps1!r}")
     if not 0.5 < eta < 1.0:
         raise ValueError("eta must lie in (1/2, 1)")
     if n < 1:

@@ -36,10 +36,10 @@ class FinitePmf:
             raise ValueError("pmf needs a non-empty alphabet")
         if len(set(symbols)) != len(symbols):
             raise ValueError("alphabet symbols must be distinct")
-        if any(p < 0.0 for p in probs):
-            raise ValueError("probabilities must be non-negative")
+        if not all(p >= 0.0 for p in probs):  # written so that NaN fails
+            raise ValueError(f"probabilities must be non-negative, got {probs!r}")
         total = math.fsum(probs)
-        if abs(total - 1.0) > PROB_SUM_TOL:
+        if not abs(total - 1.0) <= PROB_SUM_TOL:
             raise ValueError(f"probabilities sum to {total}, not 1")
         probs = tuple(p / total for p in probs)
         object.__setattr__(self, "symbols", symbols)

@@ -147,12 +147,13 @@ class TailQuery:
 def _integer_lattice(values: Sequence[float]):
     """Integers a_i and one denominator L with a_i/L the exact value of each.
 
-    A value within 1e-12 (relative) of a rational with denominator up to 1e6
-    is taken as that rational; any other float as its exact binary fraction.
+    A value within 4 ulps of a rational with denominator up to 1e6 (as a
+    quotient such as -0.1/0.9 is) is taken as that rational; any other float,
+    sqrt(5) too, as its exact binary fraction.
     """
     near = [Fraction(v).limit_denominator(_RATIONAL_DENOM_CAP) for v in values]
     fracs = [
-        f if abs(float(f) - v) <= 1e-12 * max(1.0, abs(v)) else Fraction(v)
+        f if abs(float(f) - v) <= 4 * math.ulp(v) else Fraction(v)
         for f, v in zip(near, values)
     ]
     denom = math.lcm(*(f.denominator for f in fracs))

@@ -81,12 +81,13 @@ class TestSpecTypes:
         assert p.m == 4
         assert p.gamma(2) == 0.5 and p.gamma_m == 0.3
 
-    def test_exponent_value_tags(self):
+    def test_exponent_value_range(self):
         with pytest.raises(ValueError):
-            ExponentValue(0.1, "bogus")
+            ExponentValue(-0.5)
         with pytest.raises(ValueError):
-            ExponentValue(-0.5, "azuma")
-        assert ExponentValue(math.inf, "thm2").exponent == math.inf
+            ExponentValue(math.nan)
+        assert ExponentValue(-1e-13).exponent == 0.0
+        assert ExponentValue(math.inf).exponent == math.inf
 
 
 class TestAzuma:

@@ -596,3 +596,62 @@ class TestPerCommandFlags:
         assert exc.value.code == 2
         assert out == ""
         assert "unrecognized arguments" in err
+
+
+class TestNanInputs:
+    """A NaN input fails its range check (exit 2) instead of printing numbers."""
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (
+                ("ldpc", "--regular", "3,6", "--alpha", "nan"),
+                "alpha must be non-negative, got nan",
+            ),
+            (
+                ("ofdm", "--n", "16", "--alpha", "nan"),
+                "alpha must be positive, got nan",
+            ),
+            (
+                (
+                    "hypothesis", "--p1", "0.4,0.6", "--p2", "0.6,0.4",
+                    "--eta", "0.75", "--eps1", "nan",
+                ),
+                "eps1 must be positive, got nan",
+            ),
+        ],
+        ids=["ldpc-alpha", "ofdm-alpha", "hypothesis-eps1"],
+    )
+    def test_nan_flag(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"config error: {message}\n"
+
+    def test_nan_law_probability(self, capsys, tmp_path):
+        cfg = tmp_path / "law.json"
+        law = {"values": [1, 0, -1], "probs": [math.nan, 0.5, 0.5]}
+        cfg.write_text(json.dumps(law))
+        code, out, err = run_cli(
+            capsys, "simulate", "--law", str(cfg), "--k", "10",
+            "--threshold", "1", "--seed", "1",
+        )
+        assert code == 2
+        assert out == ""
+        assert "probabilities must be non-negative" in err
+
+    def test_nan_ldpc_coefficient(self, capsys, tmp_path):
+        cfg = tmp_path / "ldpc.json"
+        ens = {"n": 100, "lambda": [0, 0, 1], "rho": [0, 0, 0, 0, 0, math.nan]}
+        cfg.write_text(json.dumps(ens))
+        code, out, err = run_cli(capsys, "ldpc", "--config", str(cfg), "--alpha", "0.1")
+        assert code == 2
+        assert out == ""
+        assert "rho coefficients must be non-negative" in err
+
+    def test_infinite_alpha_still_runs(self, capsys):
+        code, out, _ = run_cli(capsys, "ldpc", "--regular", "3,6", "--alpha", "inf")
+        assert code == 0
+        table = dict(parse_csv(out)[1])
+        assert table["beta"] == "inf"
+        assert table["bound"] == table["azuma_bound"] == "0"

@@ -283,10 +283,10 @@ class TestMartingaleParams:
     def test_threshold_gaps(self):
         thr = Thresholds(lambda_bar=0.03, lambda_under=-0.02)
         mp = martingale_params(SWAP_PAIR, thr)
-        assert mp.eps11 == pytest.approx(SWAP_PAIR.d12 - 0.03, abs=1e-14)
-        assert mp.eps21 == pytest.approx(SWAP_PAIR.d21 - 0.02, abs=1e-14)
-        assert mp.eps12 == pytest.approx(SWAP_PAIR.d12 + 0.02, abs=1e-14)
-        assert mp.eps22 == pytest.approx(SWAP_PAIR.d21 + 0.03, abs=1e-14)
+        assert mp.delta11 * mp.d1 == pytest.approx(SWAP_PAIR.d12 - 0.03, abs=1e-14)
+        assert mp.delta21 * mp.d2 == pytest.approx(SWAP_PAIR.d21 - 0.02, abs=1e-14)
+        assert mp.delta12 * mp.d1 == pytest.approx(SWAP_PAIR.d12 + 0.02, abs=1e-14)
+        assert mp.delta22 * mp.d2 == pytest.approx(SWAP_PAIR.d21 + 0.03, abs=1e-14)
 
 
 class TestLowerBounds:

@@ -1,11 +1,15 @@
-"""Every name a tailforge module imports or keeps private is used in that module."""
+"""Every name a tailforge module imports or keeps private is used in that module,
+and every dataclass field it declares is read somewhere in the repository."""
 
 import ast
+import functools
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "tailforge"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "tailforge"
+READERS = ("src", "tests", "perfbench")  # where a field's reads are looked for
 
 
 def unused_imports(source: str) -> list[str]:
@@ -58,6 +62,66 @@ def unused_private_names(source: str) -> list[str]:
     )
 
 
+def dataclass_fields(source: str) -> list[tuple[str, str, int]]:
+    """(class, field, line) for each annotated field of each ``@dataclass``."""
+    fields = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and any(
+            getattr(getattr(d, "func", d), "id", None) == "dataclass"
+            for d in node.decorator_list
+        ):
+            fields += [
+                (node.name, stmt.target.id, stmt.lineno)
+                for stmt in node.body
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+            ]
+    return fields
+
+
+def attributes_read(source: str) -> set[str]:
+    """Names loaded as an attribute (``obj.name``) anywhere in ``source``."""
+    return {
+        n.attr
+        for n in ast.walk(ast.parse(source))
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    }
+
+
+def unread_fields(source: str, read: set[str]) -> list[str]:
+    """Dataclass fields of ``source`` whose name is not in ``read``.
+
+    The check is by name only: a field whose name is read as an attribute of
+    any object passes, so fields with common names such as ``n`` are never
+    flagged.
+    """
+    return sorted(
+        f"{cls}.{name} (line {line})"
+        for cls, name, line in dataclass_fields(source)
+        if name not in read
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _attributes_read_in_repo() -> frozenset:
+    paths = (p for d in READERS for p in (ROOT / d).rglob("*.py"))
+    sources = (p.read_text(encoding="utf-8") for p in paths)
+    return frozenset().union(*map(attributes_read, sources))
+
+
+def test_checker_flags_an_unread_field():
+    source = (
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\n"
+        "class Row:\n"
+        "    used: float\n"
+        "    unread: float\n"
+        "class Plain:\n"
+        "    ignored: int\n"
+    )
+    reader = "def f(row):\n    row.unread = 1.0\n    return row.used\n"
+    assert unread_fields(source, attributes_read(reader)) == ["Row.unread (line 5)"]
+
+
 def test_checker_flags_an_unused_private_name():
     source = (
         "_TOL = 1e-10\n"
@@ -87,3 +151,9 @@ def test_no_unused_imports(module):
 @pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
 def test_no_unused_private_names(module):
     assert unused_private_names((SRC / module).read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_no_unread_dataclass_fields(module):
+    source = (SRC / module).read_text(encoding="utf-8")
+    assert unread_fields(source, _attributes_read_in_repo()) == []

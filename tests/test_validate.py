@@ -111,6 +111,47 @@ class TestExactTailDp:
         got = exact_tail_dp(law, TailQuery(100, 100 * math.sqrt(2) - 5e-12))
         assert got == pytest.approx(2.0**-100, rel=1e-13, abs=0)
 
+    def test_irrational_values_are_not_snapped(self):
+        # sqrt(5) lies within 1e-12 of a rational with denominator <= 1e6; taken
+        # as that rational, the top sum would pass a threshold 6e-11 above it
+        root5 = math.sqrt(5)
+        steps, denom = validate._integer_lattice((root5, -root5))
+        assert Fraction(steps[0], denom) == Fraction(root5)
+        law = IncrementLaw((root5, -root5), (0.5, 0.5))
+        assert exact_tail_dp(law, TailQuery(100, 100 * root5 + 6e-11)) == 0.0
+        assert exact_tail_dp(law, TailQuery(100, 100 * root5)) == pytest.approx(
+            2.0**-100, rel=1e-13, abs=0
+        )
+
+    def test_tiny_values_are_not_snapped_to_zero(self):
+        # +-1e-13 are not 0: P(S_10 >= 5e-13) needs 8 or more + steps, 56/1024
+        law = IncrementLaw((1e-13, -1e-13), (0.5, 0.5))
+        assert exact_tail_dp(law, TailQuery(10, 5e-13)) == pytest.approx(
+            56 / 1024, rel=1e-13, abs=0
+        )
+
+    @pytest.mark.parametrize(
+        "value, rational",
+        [
+            (-0.1 / 0.9, Fraction(-1, 9)),
+            (-0.3 / 0.7, Fraction(-3, 7)),
+            (math.nextafter(1 / 3, 1), Fraction(1, 3)),
+        ],
+    )
+    def test_one_ulp_quotients_snap_to_their_rational(self, value, rational):
+        assert abs(value - float(rational)) == math.ulp(value)
+        steps, denom = validate._integer_lattice((1.0, value))
+        assert Fraction(steps[1], denom) == rational
+
+    @pytest.mark.parametrize("eps, k0", [(0.1, 1), (0.3, 3)])
+    def test_quotient_law_ties_count(self, eps, k0):
+        # values (1, -eps/(1-eps)) at n = 10: S_10 = 0 exactly at k0 + steps,
+        # which counts only if -eps/(1-eps) is taken as its rational
+        law = two_point_increment(1.0, eps)
+        want = float(binom.sf(k0 - 1, 10, eps))
+        got = exact_tail_dp(law, TailQuery(10, 0.0))
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+
     def test_keys_beyond_int64(self):
         # n * max|step| = 1e19 > 2**63: keys must not wrap around
         law = IncrementLaw((1e18, -1e18), (0.5, 0.5))
