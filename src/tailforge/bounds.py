@@ -415,7 +415,10 @@ def small_deviation_bound(
         raise ValueError("n must be >= 1")
     gamma, delta = spec.gamma, spec.delta(alpha)
     lead = delta * delta / (2.0 * gamma)
-    bound = 2.0 * math.exp(-lead * big_b(delta / (gamma * math.sqrt(n))))
+    exponent = lead * big_b(delta / (gamma * math.sqrt(n)))
+    if lead == math.inf:  # B may have rounded to 0 there, and inf * 0 is NaN
+        exponent = math.inf
+    bound = 2.0 * math.exp(-exponent)
     return SmallDeviationBound(bound=bound, limit=2.0 * math.exp(-lead))
 
 

@@ -258,7 +258,10 @@ def ldpc_cycles_bound(ensemble: LdpcEnsemble, alpha: float) -> LdpcCyclesBound:
     ar = ensemble.avg_right_degree
     beta = alpha / ((1.0 - rd) * ar)
     bound = 2.0 * math.exp(-ensemble.n * f_delta(beta))  # f = inf beyond beta = 1
-    azuma = 2.0 * math.exp(-(beta**2) * ensemble.n / 2.0)
+    try:
+        azuma = 2.0 * math.exp(-(beta**2) * ensemble.n / 2.0)
+    except OverflowError:  # beta**2 beyond the float range: exponent +inf
+        azuma = 0.0
     return LdpcCyclesBound(
         beta=beta,
         bound=bound,
@@ -306,11 +309,11 @@ def ofdm_cf_bounds(model: OfdmModel, alpha: float) -> OfdmCfBounds:
     if not alpha > 0.0:
         raise ValueError(f"alpha must be positive, got {alpha!r}")
     sd = bounds.small_deviation_bound(MartingaleSpec(d=2.0, sigma2=2.0), alpha, model.n)
-    return OfdmCfBounds(
-        azuma=2.0 * math.exp(-(alpha**2) / 8.0),
-        refined=sd.bound,
-        refined_limit=sd.limit,
-    )
+    try:
+        azuma = 2.0 * math.exp(-(alpha**2) / 8.0)
+    except OverflowError:  # alpha**2 beyond the float range: exponent +inf
+        azuma = 0.0
+    return OfdmCfBounds(azuma=azuma, refined=sd.bound, refined_limit=sd.limit)
 
 
 def ofdm_trig_identity(n: int, M: int) -> Fraction:

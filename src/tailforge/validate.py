@@ -30,7 +30,8 @@ _WORK_CAP = 10**10
 # which keeps dense tails' bits. On one Xeon core count vectors take 1.0 ms for
 # steps (1, -1) at n = 3000 (dense 29), and 9.8 ms for (1, 0, -1) at n = 400 (3.4)
 _DENSE_FACTOR = 32
-_SAMPLE_BLOCK = 2**14  # Monte Carlo cells drawn per block in sample_sums
+_SAMPLE_BLOCK = 2**14  # Monte Carlo cells (uniforms) drawn per block
+_UNIT_ROUNDOFF = 2.0**-53
 _WILSON_Z = 1.959963984540054  # 95% normal quantile
 _FLOAT_MIN = sys.float_info.min  # smallest normal double
 
@@ -71,40 +72,6 @@ class IncrementLaw:
     def abs_moment(self, l: int) -> float:
         return math.fsum(p * abs(v) ** l for v, p in zip(self.values, self.probs))
 
-    def sample_sums(self, rng: np.random.Generator, n: int, size: int) -> np.ndarray:
-        """``size`` sums of n i.i.d. increments, by blocked inverse-CDF sampling.
-
-        Bit-identical to ``rng.choice(values, size=(size, n), p=probs)
-        .sum(axis=1)``: the uniforms u come from ``rng.random`` in the same
-        order, each step index counts the knots of ``cumsum(probs) /
-        cumsum[-1]``, all but the last, that are <= u (what ``choice``'s
-        ``searchsorted(side='right')`` returns), and each row is summed
-        whole. Rows are drawn a block of about ``_SAMPLE_BLOCK`` cells at a
-        time, so memory beyond the result is O(block), not O(size*n). The
-        count costs one pass per support point, so it beats ``choice``'s
-        binary search only up to about 100 support points.
-        """
-        values = np.array(self.values)
-        cdf = np.cumsum(self.probs)
-        knots = cdf[:-1] / cdf[-1]
-        rows = max(1, _SAMPLE_BLOCK // n)
-        u = np.empty((min(rows, size), n))
-        idx = np.empty(u.shape, dtype=np.intp)
-        above = np.empty(u.shape, dtype=bool)
-        steps = np.empty(u.shape)
-        sums = np.empty(size)
-        for start in range(0, size, rows):
-            k = min(rows, size - start)
-            ub, ib, ab, sb = u[:k], idx[:k], above[:k], steps[:k]
-            rng.random(out=ub)
-            ib.fill(0)
-            for knot in knots:
-                np.greater_equal(ub, knot, out=ab)
-                ib += ab
-            np.take(values, ib, out=sb, mode="clip")  # ib is in range; unbuffered
-            sb.sum(axis=1, out=sums[start : start + k])
-        return sums
-
 
 def two_point_increment(d: float, eps: float) -> IncrementLaw:
     """+d w.p. eps and -eps*d/(1-eps) w.p. 1-eps: zero mean, |X| <= d."""
@@ -122,6 +89,16 @@ def bernoulli_centered_increment(p: float) -> IncrementLaw:
     return IncrementLaw((1.0 - p, -p), (p, 1.0 - p))
 
 
+def _integer(value, name: str) -> int:
+    """value as an int; ValueError naming it for a bool, float or string."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class TailQuery:
     """P(S_n >= threshold), or P(|S_n| >= threshold) when two_sided."""
@@ -131,12 +108,7 @@ class TailQuery:
     two_sided: bool = False
 
     def __post_init__(self):
-        try:
-            if isinstance(self.n, bool):
-                raise TypeError
-            n = operator.index(self.n)
-        except TypeError:
-            raise ValueError(f"n must be an integer, got {self.n!r}") from None
+        n = _integer(self.n, "n")
         if n < 1:
             raise ValueError("n must be >= 1")
         if not abs(self.threshold) <= sys.float_info.max:  # ints past it too
@@ -325,33 +297,80 @@ def _wilson_interval(hits: int, trials: int) -> tuple[float, float]:
 _N_SHARDS = 16
 
 
-def monte_carlo_tail(sampler, query: TailQuery, trials: int, seed: int) -> McTail:
+def _choice_knots(probs) -> np.ndarray:
+    """rng.choice's inverse-CDF knots, cumsum(probs) / its last entry, but for 1."""
+    cdf = np.cumsum(probs)
+    return cdf[:-1] / cdf[-1]
+
+
+def _block_hits(u, values, knots, query: TailQuery, tol: float, work) -> int:
+    """Rows of the uniforms u (k x n) whose step sum meets query, summed as choice does.
+
+    A cell's step is values[searchsorted(knots, u, side="right")], the index
+    rng.choice takes. Each row's count of cells at or past each knot is an
+    exact integer in float (a sum of 0s and 1s below 2**53), so the estimate
+    E = sum_i c_i v_i of its step sum is within gamma_s * n * d of the exact
+    sum, and choice's float row sum, in any order, within gamma_{n-1} * n * d
+    (Higham 2002, Accuracy and Stability of Numerical Algorithms, 4.2). tol
+    covers both: a row with E (|E| when two-sided) >= threshold + tol is a
+    hit, one below threshold - tol a miss, and any other row is summed as
+    choice sums it. work is a float buffer of u's width and at least its
+    rows. Rows are summed by einsum, not a BLAS mat-vec, as threaded BLAS
+    can stall for milliseconds on a one-row block when two cores are free.
+    """
+    k, n = u.shape
+    past = work[:k]
+    counts = np.empty((len(knots) + 2, k))  # row j: cells at or past knot j
+    counts[0], counts[-1] = n, 0.0  # every cell is past knot 0 (0), none past 1
+    for j, knot in enumerate(knots.tolist(), 1):
+        np.greater_equal(u, knot, out=past)
+        np.einsum("ij->i", past, out=counts[j])
+    est = np.einsum("i,ij->j", values, counts[:-1] - counts[1:])
+    if query.two_sided:
+        np.abs(est, out=est)
+    hi, lo = query.threshold + tol, query.threshold - tol
+    hits = np.count_nonzero(est >= hi)
+    if hits + np.count_nonzero(est < lo) < k:
+        near = ~((est >= hi) | (est < lo))
+        sums = values[np.searchsorted(knots, u[near], side="right")].sum(axis=1)
+        if query.two_sided:
+            np.abs(sums, out=sums)
+        hits += np.count_nonzero(sums >= query.threshold)
+    return int(hits)
+
+
+def monte_carlo_tail(
+    law: IncrementLaw, query: TailQuery, trials: int, seed: int
+) -> McTail:
     """Seeded Monte Carlo estimate of the queried tail with Wilson 95% CI.
 
-    ``sampler`` is an IncrementLaw or any callable (rng, n, size) -> sums.
     Trials are split across a fixed number of spawned generator substreams
     and the per-shard hit counts summed, so the result depends only on
-    (sampler, query, trials, seed). An IncrementLaw draws with
-    ``sample_sums``, whose blocked inverse-CDF sampler gives the same sums
-    bit for bit as ``rng.choice(values, size=(count, n), p=probs)
-    .sum(axis=1)`` on each shard's stream, in O(block) memory per shard
-    beyond its ``count`` sums.
+    (law, query, trials, seed). Each shard's hit count is the one
+    ``rng.choice(values, size=(count, n), p=probs).sum(axis=1)`` gives on
+    its stream: the same uniforms are drawn, a block of about
+    ``_SAMPLE_BLOCK`` cells at a time, and ``_block_hits`` decides each row
+    from its step counts, summing a row only where rounding could carry it
+    across the threshold. Memory is O(block), whatever the trial count.
     """
+    trials = _integer(trials, "trials")
     if trials < 100:
         raise ValueError("need at least 100 trials")
-    draw = sampler.sample_sums if isinstance(sampler, IncrementLaw) else sampler
+    n, values, knots = query.n, np.array(law.values), _choice_knots(law.probs)
+    tol = 2 * (n + values.size) * _UNIT_ROUNDOFF * n * law.d
+    if not 2.0 * n * law.d < sys.float_info.max:
+        tol = math.nan  # E may overflow: a NaN band sends every row the exact way
     streams = np.random.default_rng(seed).spawn(_N_SHARDS)
     shares = [trials // _N_SHARDS] * _N_SHARDS
     shares[0] += trials - sum(shares)
-
-    def run(args) -> int:
-        rng, count = args
-        sums = draw(rng, query.n, count)
-        if query.two_sided:
-            return int(np.count_nonzero(np.abs(sums) >= query.threshold))
-        return int(np.count_nonzero(sums >= query.threshold))
-
-    hits = sum(map(run, zip(streams, shares)))
+    rows = min(max(1, _SAMPLE_BLOCK // n), shares[0])
+    u, work = np.empty((rows, n)), np.empty((rows, n))
+    hits = 0
+    for rng, count in zip(streams, shares):
+        for start in range(0, count, rows):
+            block = u[: count - start]
+            rng.random(out=block)
+            hits += _block_hits(block, values, knots, query, tol, work)
     lo, hi = _wilson_interval(hits, trials)
     return McTail(estimate=hits / trials, lower=lo, upper=hi, trials=trials)
 

@@ -655,3 +655,19 @@ class TestNanInputs:
         table = dict(parse_csv(out)[1])
         assert table["beta"] == "inf"
         assert table["bound"] == table["azuma_bound"] == "0"
+
+    def test_overflowing_ldpc_alpha_gives_zero_bounds(self, capsys):
+        # beta**2 overflows; the exponent is +inf, as tail_bound takes it
+        code, out, err = run_cli(capsys, "ldpc", "--regular", "3,6", "--alpha", "1e200")
+        assert (code, err) == (0, "")
+        table = dict(parse_csv(out)[1])
+        assert table["bound"] == table["azuma_bound"] == "0"
+
+    @pytest.mark.parametrize("alpha", ["1e200", "inf"])
+    def test_overflowing_ofdm_alpha_gives_zero_bounds(self, capsys, alpha):
+        # alpha**2 overflows at 1e200, and B(inf) is NaN at inf
+        code, out, err = run_cli(capsys, "ofdm", "--n", "16", "--alpha", alpha)
+        assert (code, err) == (0, "")
+        assert dict(parse_csv(out)[1]) == {
+            "azuma_bound": "0", "refined_bound": "0", "refined_limit": "0"
+        }

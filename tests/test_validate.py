@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import binom
 
 from tailforge import validate
@@ -480,21 +482,27 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             monte_carlo_tail(PM_ONE, TailQuery(10, 1.0), 50, seed=0)
 
-    def test_callable_sampler(self):
-        def sampler(rng, n, size):
-            return rng.choice([1.0, -1.0], size=(size, n)).sum(axis=1)
-
-        mc = monte_carlo_tail(sampler, TailQuery(10, 0.0), 2000, seed=9)
-        assert 0.4 <= mc.estimate <= 0.7
+    @pytest.mark.parametrize("trials", [1000.0, "1000", True], ids=repr)
+    def test_non_integer_trials_rejected(self, trials):
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            monte_carlo_tail(PM_ONE, TailQuery(10, 1.0), trials, seed=0)
 
 
-def _choice_sums(law):
-    """The rng.choice sampler that IncrementLaw.sample_sums must reproduce."""
+def _choice_sums(law, n, trials, seed):
+    """Row sums of rng.choice on monte_carlo_tail's spawned substreams and shares."""
+    streams = np.random.default_rng(seed).spawn(validate._N_SHARDS)
+    shares = [trials // validate._N_SHARDS] * validate._N_SHARDS
+    shares[0] += trials - sum(shares)
+    return np.concatenate([
+        rng.choice(law.values, size=(count, n), p=law.probs).sum(axis=1)
+        for rng, count in zip(streams, shares)
+    ])
 
-    def draw(rng, n, size):
-        return rng.choice(law.values, size=(size, n), p=law.probs).sum(axis=1)
 
-    return draw
+def _choice_estimate(sums, query):
+    """The hit frequency monte_carlo_tail must reproduce from these sums."""
+    hit = (np.abs(sums) if query.two_sided else sums) >= query.threshold
+    return np.count_nonzero(hit) / sums.size
 
 
 SAMPLER_LAWS = {
@@ -506,23 +514,76 @@ SAMPLER_LAWS = {
     "unsorted4": IncrementLaw((0.0, 1.0, -1.0, 0.5), (0.3, 0.2, 0.3, 0.2)),
     "unsorted5": IncrementLaw((-0.5, 2.0, 0.0, 0.5, -1.0), (0.2, 0.1, 0.3, 0.2, 0.2)),
 }
+# the Monte Carlo cells of perfbench's oracle_certify: (law, n, trials)
+ORACLE_MC_CELLS = {
+    "two_point": (IncrementLaw((1.0, -1 / 9), (0.1, 0.9)), 100, 20000),
+    "pm1": (PM_ONE, 100, 20000),
+    "three_point": (IncrementLaw((1.0, 0.0, -1.0), (0.25, 0.5, 0.25)), 100, 20000),
+    "bernoulli": (IncrementLaw((0.7, -0.3), (0.3, 0.7)), 1000, 10000),
+}
+
+
+@st.composite
+def _sampler_laws(draw):
+    """1-6 distinct points in any order, some of probability 0, zero mean.
+
+    Symmetric laws (+-a, optionally 0) keep dyadic magnitudes exact; other
+    laws are centred by their mean, which makes the values non-dyadic.
+    """
+    size = draw(st.integers(1, 6))
+    zero_prob = draw(st.integers(0, size - 1))
+    live = size - zero_prob
+    scale = draw(st.sampled_from([8.0, 10.0, 3.0]))  # dyadic, decimal, thirds
+    if draw(st.booleans()):
+        pairs = live // 2
+        mags = draw(st.lists(st.integers(1, 40), min_size=pairs, max_size=pairs,
+                             unique=True))
+        weights = draw(st.lists(st.integers(1, 9), min_size=pairs, max_size=pairs))
+        values = [s * m / scale for m in mags for s in (1, -1)]
+        probs = [w for w in weights for _ in (1, -1)]
+        if live % 2:
+            values.append(0.0)
+            probs.append(draw(st.integers(1, 9)))
+    else:
+        ints = draw(st.lists(st.integers(-40, 40), min_size=live, max_size=live,
+                             unique=True))
+        probs = draw(st.lists(st.integers(1, 9), min_size=live, max_size=live))
+        mean = math.fsum(i * p for i, p in zip(ints, probs)) / sum(probs)
+        values = [i / scale - mean / scale for i in ints]
+    spare = [v for v in (5.5, -7.25, 0.3, 12.0, -0.1, 9.75, -3.5) if v not in values]
+    values += spare[:zero_prob]
+    probs += [0] * zero_prob
+    total = sum(probs)
+    order = draw(st.permutations(range(size)))
+    return IncrementLaw(
+        tuple(values[i] for i in order), tuple(probs[i] / total for i in order)
+    )
 
 
 class TestSampleSums:
+    """Monte Carlo hits equal those of rng.choice row sums on the same streams."""
+
     @pytest.mark.parametrize("law", SAMPLER_LAWS.values(), ids=SAMPLER_LAWS.keys())
     @pytest.mark.parametrize("n", [1, 7, 100, 1000, 20000])
     def test_bit_identical_to_choice(self, law, n):
         rows = max(1, validate._SAMPLE_BLOCK // n)
-        # one block, several whole blocks, and a partial last block
-        for size in (max(1, rows // 2), 3 * rows, 2 * rows + rows // 2 + 1):
+        # per shard: one block, several whole blocks, and a partial last
+        # block; 16 shards of 7 make the 100-trial floor
+        sizes = {max(7, k) for k in (rows // 2, 3 * rows, 2 * rows + rows // 2 + 1)}
+        for size in sorted(sizes):
+            trials = validate._N_SHARDS * size
             for seed in (0, 17):
-                want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-                want = _choice_sums(law)(want_rng, n, size)
-                got = law.sample_sums(got_rng, n, size)
-                assert got.shape == (size,)
-                assert np.array_equal(got.view(np.int64), want.view(np.int64))
-                # both leave the generator at the same point in its stream
-                assert got_rng.random() == want_rng.random()
+                sums = _choice_sums(law, n, trials, seed)
+                ranked = np.sort(sums)
+                # thresholds on row sums as choice forms them, and one between
+                for query in (
+                    TailQuery(n, float(ranked[trials // 3])),
+                    TailQuery(n, float(abs(ranked[2 * trials // 3])), two_sided=True),
+                    TailQuery(n, float(ranked[trials // 2]) + 0.5 / n),
+                ):
+                    got = monte_carlo_tail(law, query, trials, seed)
+                    assert got.estimate == _choice_estimate(sums, query)
+                    assert got.trials == trials
 
     def test_knot_ties_follow_searchsorted_right(self):
         # choice maps u to searchsorted(cumsum(p) / cumsum[-1], u, 'right');
@@ -532,31 +593,105 @@ class TestSampleSums:
         knots = cdf / cdf[-1]
         u = np.unique(np.concatenate([cdf[:-1], knots[:-1]]))
         u = np.concatenate([np.nextafter(u, 0.0), u, np.nextafter(u, 1.0)])
-
-        class Replay:
-            def random(self, out):
-                out[...] = u.reshape(out.shape)
-
-        got = law.sample_sums(Replay(), 1, u.size)
-        want = np.array(law.values)[np.searchsorted(knots, u, side="right")]
-        assert np.array_equal(got, want)
+        values = np.array(law.values)
+        steps = values[np.searchsorted(knots, u, side="right")]
+        block, buf = u.reshape(-1, 1), np.empty((u.size, 1))
+        kernel_knots = validate._choice_knots(law.probs)
+        # tol 0 decides every row by its counts, 0.75 sends rows within 0.75
+        # of the threshold to the exact sum
+        for tol in (0.0, 0.75):
+            for thr in np.arange(-5.0, 5.5, 0.5):
+                for two_sided in (False, True):
+                    q = TailQuery(1, float(thr), two_sided)
+                    got = validate._block_hits(block, values, kernel_knots, q, tol, buf)
+                    want = (np.abs(steps) if two_sided else steps) >= thr
+                    assert got == np.count_nonzero(want)
 
     @pytest.mark.parametrize("law", SAMPLER_LAWS.values(), ids=SAMPLER_LAWS.keys())
     def test_monte_carlo_matches_choice_reference(self, law):
         q = TailQuery(60, 0.8 * math.sqrt(60 * law.variance), two_sided=True)
         got = monte_carlo_tail(law, q, 4000, seed=23)
-        assert got == monte_carlo_tail(_choice_sums(law), q, 4000, seed=23)
+        assert got.estimate == _choice_estimate(_choice_sums(law, 60, 4000, 23), q)
+
+    @pytest.mark.parametrize("label", ORACLE_MC_CELLS)
+    def test_oracle_certify_cells_match_choice(self, label):
+        law, n, trials = ORACLE_MC_CELLS[label]
+        sums = _choice_sums(law, n, trials, seed=5)
+        sd = math.sqrt(n * law.variance)
+        thresholds = [0.5 * sd, 1.25 * sd, 2.0 * sd, float(np.sort(sums)[trials // 2])]
+        for thr in thresholds:
+            for two_sided in (False, True):
+                q = TailQuery(n, thr, two_sided)
+                got = monte_carlo_tail(law, q, trials, seed=5)
+                assert got.estimate == _choice_estimate(sums, q)
+
+    @pytest.mark.parametrize("n", [10, 19, 100])
+    def test_rows_straddling_the_threshold(self, n):
+        # rows with c up-steps of (1, -1/9) sum to c - (n - c)/9 in exact
+        # arithmetic; their float sums and count estimates land on either
+        # side of the nearest double, so these rows take the exact sum
+        law = IncrementLaw((1.0, -1 / 9), (0.1, 0.9))
+        trials = 20000
+        sums = _choice_sums(law, n, trials, seed=1)
+        for c in range(n + 1):
+            thr = float(Fraction(c) - Fraction(n - c, 9))
+            if thr > 0:
+                q = TailQuery(n, thr)
+                got = monte_carlo_tail(law, q, trials, seed=1)
+                assert got.estimate == _choice_estimate(sums, q), c
+
+    def test_overflowing_estimate_takes_exact_sums(self):
+        # two a's and a b sum to inf added in that order but to 1.3e308 in
+        # others, while the estimate 2a + b is inf
+        law = IncrementLaw((1.5e308, -1.7e308), (17 / 32, 15 / 32))
+        with np.errstate(over="ignore"):
+            sums = _choice_sums(law, 3, 400, seed=2)
+            for q in (TailQuery(3, 1.4e308), TailQuery(3, 1.4e308, two_sided=True)):
+                got = monte_carlo_tail(law, q, 400, seed=2)
+                assert got.estimate == _choice_estimate(sums, q)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        law=_sampler_laws(),
+        n=st.integers(1, 300),
+        trials=st.integers(100, 3000),
+        seed=st.integers(0, 2**32 - 1),
+        on_lattice=st.booleans(),
+        position=st.floats(0.0, 1.0),
+        two_sided=st.booleans(),
+    )
+    def test_random_laws_match_choice(
+        self, law, n, trials, seed, on_lattice, position, two_sided
+    ):
+        sums = _choice_sums(law, n, trials, seed)
+        if on_lattice:  # a row sum as choice forms it: rows on it straddle
+            thr = float(np.sort(sums)[min(trials - 1, int(position * trials))])
+        else:
+            thr = (2.0 * position - 1.0) * n * law.d
+        q = TailQuery(n, abs(thr) if two_sided else thr, two_sided)
+        got = monte_carlo_tail(law, q, trials, seed)
+        assert got.estimate == _choice_estimate(sums, q)
 
     def test_memory_is_per_block(self):
-        # rng.choice makes three 64 x 1e5 float64/int64 arrays here (~150 MB)
-        rng = np.random.default_rng(0)
+        # rng.choice would make three 64 x 1e5 float64/int64 arrays per shard (~150 MB)
         tracemalloc.start()
         try:
-            PM_ONE.sample_sums(rng, 100_000, 64)
+            monte_carlo_tail(PM_ONE, TailQuery(100_000, 300.0), 1024, seed=0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 8e6
+
+    def test_memory_does_not_grow_with_trials(self):
+        peaks = []
+        for trials in (16_000, 1_600_000):
+            tracemalloc.start()
+            try:
+                monte_carlo_tail(PM_ONE, TailQuery(10, 2.0), trials, seed=0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 2 * peaks[0]
 
 
 class TestBoundValidity:
