@@ -6,8 +6,8 @@ and higher-moment routes), their information-theoretic applications
 OFDM crest-factor and LDPC cycle concentration), and exact small-instance
 oracles that certify every bound numerically.
 
-All exponents are in nats; probability-bound helpers clip to [0, 1] only
-at the reporting layer.
+All exponents are in nats; bounds.tail_bound alone turns one into a
+probability bound, clipped to [0, 1].
 """
 
 from .pmf import AlphabetMismatchError, FinitePmf

@@ -1,9 +1,10 @@
 """Tail exponents for martingales with bounded jumps.
 
 Every operation returns the exponent E (nats per step) of a bound of the
-form P(X_n - X_0 >= alpha*n) <= e^(-n*E) (two-sided variants carry a
-prefactor 2, attached by ``tail_bound``). Exponents are non-negative, 0 at
-delta = 0, and +inf when the deviation exceeds the jump bound (delta > 1
+form P(X_n - X_0 >= alpha*n) <= e^(-n*E). ``tail_bound`` alone turns E into
+the probability min(1, c*e^(-n*E)), c = 2 two-sided, and ``exponent_or_inf``
+alone reads an E past the float range as +inf. Exponents are non-negative,
+0 at delta = 0, and +inf when the deviation exceeds the jump bound (delta > 1
 under two-sided conditions), where the probability is exactly zero.
 
 Throughout, gamma = sigma^2/d^2 in (0, 1] and delta = alpha/d.
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence, Tuple
+from typing import Callable, Mapping, Sequence, Tuple
 
 from ._optim import newton_min
 from .specfun import (
@@ -49,7 +50,7 @@ class MartingaleSpec:
         return min(1.0, self.sigma2 / self.d**2)
 
     def delta(self, alpha: float) -> float:
-        if alpha < 0.0:
+        if not alpha >= 0.0:  # NaN fails
             raise ValueError("alpha must be non-negative")
         return alpha / self.d
 
@@ -123,6 +124,19 @@ def tail_bound(value: ExponentValue, n: int, two_sided: bool = True) -> float:
     if math.isinf(value.exponent):
         return 0.0
     return min(1.0, prefactor * math.exp(-n * value.exponent))
+
+
+def exponent_or_inf(compute: Callable[[], float]) -> ExponentValue:
+    """ExponentValue(compute()), +inf where compute's arithmetic overflows.
+
+    Overflow raises OverflowError in ``x**2``, and an infinite lead times a
+    kernel rounded to 0 gives NaN (callers reject NaN inputs beforehand).
+    """
+    try:
+        e = compute()
+    except OverflowError:
+        return ExponentValue(math.inf)
+    return ExponentValue(math.inf if math.isnan(e) else e)
 
 
 def divergence_exponent(gamma: float, delta: float) -> float:
@@ -394,32 +408,21 @@ def chung_lu_exponent(gamma: float, delta: float) -> ExponentValue:
     return ExponentValue(delta * delta / (2.0 * gamma + 2.0 * delta / 3.0))
 
 
-@dataclass(frozen=True)
-class SmallDeviationBound:
-    """Finite-n bound on P(|X_n - X_0| >= alpha*sqrt(n)) and its n->inf limit."""
-
-    bound: float
-    limit: float
-
-
-def small_deviation_bound(
+def small_deviation_exponents(
     spec: MartingaleSpec, alpha: float, n: int
-) -> SmallDeviationBound:
-    """2 exp(-(delta^2/2gamma) B(delta/(gamma sqrt(n)))) and 2 exp(-delta^2/2gamma).
+) -> Tuple[ExponentValue, ExponentValue]:
+    """(delta^2/2gamma) B(delta/(gamma sqrt(n))) and its limit delta^2/2gamma.
 
-    The kernel B(0+) = 1 makes the finite-n correction explicit: the bound
-    improves Azuma's sqrt(n)-deviation exponent by the factor 1/gamma in
-    the limit.
+    Exponents at length 1 of 2e^(-E) >= P(|X_n - X_0| >= alpha*sqrt(n)). As
+    B(0+) = 1, the bound improves Azuma's sqrt(n)-deviation exponent by the
+    factor 1/gamma in the limit.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     gamma, delta = spec.gamma, spec.delta(alpha)
     lead = delta * delta / (2.0 * gamma)
-    exponent = lead * big_b(delta / (gamma * math.sqrt(n)))
-    if lead == math.inf:  # B may have rounded to 0 there, and inf * 0 is NaN
-        exponent = math.inf
-    bound = 2.0 * math.exp(-exponent)
-    return SmallDeviationBound(bound=bound, limit=2.0 * math.exp(-lead))
+    u = delta / (gamma * math.sqrt(n))
+    return exponent_or_inf(lambda: lead * big_b(u)), ExponentValue(lead)
 
 
 @dataclass(frozen=True)

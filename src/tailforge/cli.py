@@ -259,7 +259,7 @@ def cmd_hypothesis(args) -> int:
             pair, eps1=args.eps1, eta=args.eta, n=args.mdp_n
         )
         # mdp_bound is a probability: formatted here so --units never scales it
-        bound = _fmt(min(1.0, md.bound), args.precision)
+        bound = _fmt(bounds.tail_bound(md.exponent, 1, two_sided=False), args.precision)
         rows += [
             {"quantity": "mdp_bound", "value": bound},
             {"quantity": "mdp_asymptotic_slope", "value": md.asymptotic_slope},
@@ -289,11 +289,11 @@ def cmd_ldpc(args) -> int:
         raise ConfigError("need --config LDPC.json or --regular DV,DC")
     res = codingapps.ldpc_cycles_bound(ens, args.alpha)
     rows = [
-        {"quantity": "design_rate", "value": res.design_rate},
-        {"quantity": "avg_right_degree", "value": res.avg_right_degree},
+        {"quantity": "design_rate", "value": ens.design_rate},
+        {"quantity": "avg_right_degree", "value": ens.avg_right_degree},
         {"quantity": "beta", "value": res.beta},
-        {"quantity": "bound", "value": min(1.0, res.bound)},
-        {"quantity": "azuma_bound", "value": min(1.0, res.azuma_bound)},
+        {"quantity": "bound", "value": bounds.tail_bound(res.exponent, res.n)},
+        {"quantity": "azuma_bound", "value": bounds.tail_bound(res.azuma, res.n)},
     ]
     _emit(["quantity", "value"], rows, args)
     return EXIT_OK
@@ -303,9 +303,9 @@ def cmd_ofdm(args) -> int:
     model = codingapps.OfdmModel(n=args.n, M=args.M)
     res = codingapps.ofdm_cf_bounds(model, args.alpha)
     rows = [
-        {"quantity": "azuma_bound", "value": min(1.0, res.azuma)},
-        {"quantity": "refined_bound", "value": min(1.0, res.refined)},
-        {"quantity": "refined_limit", "value": min(1.0, res.refined_limit)},
+        {"quantity": "azuma_bound", "value": bounds.tail_bound(res.azuma, 1)},
+        {"quantity": "refined_bound", "value": bounds.tail_bound(res.refined, 1)},
+        {"quantity": "refined_limit", "value": bounds.tail_bound(res.refined_limit, 1)},
     ]
     if args.check:
         if args.seed is None:

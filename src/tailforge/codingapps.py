@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import bounds
-from .bounds import MartingaleSpec, MomentProfile, divergence_exponent
+from .bounds import ExponentValue, MartingaleSpec, MomentProfile, divergence_exponent
 from .hyptest import LlrMartingale
 from .pmf import FinitePmf
 from .specfun import f_delta
@@ -239,10 +239,9 @@ class LdpcCyclesBound:
     """Concentration of the cycle-space dimension around its ensemble mean."""
 
     beta: float
-    bound: float  # 2 * 2^(-(1 - h2((1-beta)/2)) n); zero once beta > 1
-    azuma_bound: float  # loosened variant 2 exp(-beta^2 n / 2)
-    design_rate: float
-    avg_right_degree: float
+    exponent: ExponentValue  # f(beta) = ln2 (1 - h2((1-beta)/2)); inf past beta = 1
+    azuma: ExponentValue  # loosened variant beta^2 / 2
+    n: int  # each bound is tail_bound(exponent, n), two-sided
 
 
 def ldpc_cycles_bound(ensemble: LdpcEnsemble, alpha: float) -> LdpcCyclesBound:
@@ -254,20 +253,12 @@ def ldpc_cycles_bound(ensemble: LdpcEnsemble, alpha: float) -> LdpcCyclesBound:
     """
     if not alpha >= 0.0:
         raise ValueError(f"alpha must be non-negative, got {alpha!r}")
-    rd = ensemble.design_rate
-    ar = ensemble.avg_right_degree
-    beta = alpha / ((1.0 - rd) * ar)
-    bound = 2.0 * math.exp(-ensemble.n * f_delta(beta))  # f = inf beyond beta = 1
-    try:
-        azuma = 2.0 * math.exp(-(beta**2) * ensemble.n / 2.0)
-    except OverflowError:  # beta**2 beyond the float range: exponent +inf
-        azuma = 0.0
+    beta = alpha / ((1.0 - ensemble.design_rate) * ensemble.avg_right_degree)
     return LdpcCyclesBound(
         beta=beta,
-        bound=bound,
-        azuma_bound=azuma,
-        design_rate=rd,
-        avg_right_degree=ar,
+        exponent=ExponentValue(f_delta(beta)),
+        azuma=bounds.exponent_or_inf(lambda: beta**2 / 2.0),
+        n=ensemble.n,
     )
 
 
@@ -293,9 +284,9 @@ class OfdmModel:
 class OfdmCfBounds:
     """Azuma and variance-refined bounds on P(|CF - E[CF]| >= alpha)."""
 
-    azuma: float  # 2 exp(-alpha^2 / 8)
-    refined: float  # finite-n: 2 exp(-(alpha^2/4) B(alpha/sqrt(n)))
-    refined_limit: float  # 2 exp(-alpha^2 / 4)
+    azuma: ExponentValue  # alpha^2/8; each bound is tail_bound(exponent, 1)
+    refined: ExponentValue  # finite-n: (alpha^2/4) B(alpha/sqrt(n))
+    refined_limit: ExponentValue  # alpha^2 / 4
 
 
 def ofdm_cf_bounds(model: OfdmModel, alpha: float) -> OfdmCfBounds:
@@ -308,12 +299,9 @@ def ofdm_cf_bounds(model: OfdmModel, alpha: float) -> OfdmCfBounds:
     """
     if not alpha > 0.0:
         raise ValueError(f"alpha must be positive, got {alpha!r}")
-    sd = bounds.small_deviation_bound(MartingaleSpec(d=2.0, sigma2=2.0), alpha, model.n)
-    try:
-        azuma = 2.0 * math.exp(-(alpha**2) / 8.0)
-    except OverflowError:  # alpha**2 beyond the float range: exponent +inf
-        azuma = 0.0
-    return OfdmCfBounds(azuma=azuma, refined=sd.bound, refined_limit=sd.limit)
+    azuma = bounds.exponent_or_inf(lambda: alpha**2 / 8.0)
+    spec = MartingaleSpec(d=2.0, sigma2=2.0)
+    return OfdmCfBounds(azuma, *bounds.small_deviation_exponents(spec, alpha, model.n))
 
 
 def ofdm_trig_identity(n: int, M: int) -> Fraction:

@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ._optim import newton_min
-from .bounds import divergence_exponent
+from .bounds import ExponentValue, divergence_exponent
 from .pmf import FinitePmf
 
 _EDGE_TOL = 1e-12
@@ -377,9 +377,9 @@ def fisher_limit_check(
 
 @dataclass(frozen=True)
 class ModerateDeviationBound:
-    """Finite-n moderate-deviations bound and its n->inf scaled-log slope."""
+    """Finite-n moderate-deviations exponent and its n->inf scaled-log slope."""
 
-    bound: float
+    exponent: ExponentValue  # the bound is tail_bound(exponent, 1, two_sided=False)
     asymptotic_slope: float
 
 
@@ -389,9 +389,9 @@ def moderate_deviation_hyptest(
     """Bound on P1(L_n <= n D(P1||P2) - eps1 n^eta) for eta in (1/2, 1).
 
     The threshold approaches D(P1||P2) at rate n^-(1-eta); the bound is
-    exp(-(eps1^2 n^(2 eta - 1) / 2 sigma1^2) (1 - eps1 d1 n^-(1-eta) /
-    (3 sigma1^2 (1+gamma1)))), with sub-exponential decay and scaled-log
-    slope -eps1^2 / (2 sigma1^2). Requires n large enough that
+    e^-E, E = max(0, (eps1^2 n^(2 eta - 1) / 2 sigma1^2) (1 - eps1 d1
+    n^-(1-eta) / (3 sigma1^2 (1+gamma1)))), with sub-exponential decay and
+    scaled-log slope -eps1^2 / (2 sigma1^2). Requires n large enough that
     delta_1^(eta, n) = eps1 n^-(1-eta) / d1 < 1.
     """
     if not eps1 > 0.0:
@@ -411,6 +411,6 @@ def moderate_deviation_hyptest(
         3.0 * mp.sigma1sq * (1.0 + mp.gamma1)
     )
     return ModerateDeviationBound(
-        bound=math.exp(-lead * correction),
+        exponent=ExponentValue(max(0.0, lead * correction)),  # < 0: trivial bound
         asymptotic_slope=-(eps1**2) / (2.0 * mp.sigma1sq),
     )

@@ -76,7 +76,7 @@ def f_delta(delta: float) -> float:
 def big_b(u: float) -> float:
     """Bennett-type kernel B(u) = 2[(1+u)ln(1+u) - u] / u^2 for u > 0.
 
-    Decreasing on (0, inf) with B(0+) = 1; the limit is exposed at u = 0.
+    Decreasing on (0, inf) with B(0+) = 1 and B(inf) = 0, both exposed.
     A power series (B(u) = sum_k 2(-u)^k / ((k+1)(k+2))) is used near 0
     where the closed form loses precision to cancellation.
     """
@@ -94,6 +94,9 @@ def big_b(u: float) -> float:
                 return total
             k += 1
             term *= -u
+    if u * u == math.inf:  # u > 1.34e154: the same form divided through by u
+        b = (1.0 + 1.0 / u) * math.log1p(u) - 1.0
+        return 2.0 * b / u if u < math.inf else 0.0
     return 2.0 * ((1.0 + u) * math.log1p(u) - u) / (u * u)
 
 

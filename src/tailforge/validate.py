@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import divergence_exponent
+from .bounds import ExponentValue, divergence_exponent, tail_bound
 from .pmf import FinitePmf
 from .specfun import binary_divergence
 
@@ -400,7 +400,9 @@ def example3_comparison(eps: float, d: float, x: float, k: int) -> Example3Compa
     if not 0.0 <= x * k < math.inf:
         raise ValueError(f"x must be non-negative with x*k finite, got {x!r}")
     law, r = two_point_increment(d, eps), x / d
-    azuma = min(1.0, math.exp(-k * r * r / 2.0))
-    thm2 = min(1.0, math.exp(-k * divergence_exponent(eps / (1.0 - eps), r)))
+    # k*r*r/2 at length 1: length k's k*(r*r/2) can round to another float
+    azuma = tail_bound(ExponentValue(k * r * r / 2.0), 1, two_sided=False)
+    gamma = eps / (1.0 - eps)
+    thm2 = tail_bound(ExponentValue(divergence_exponent(gamma, r)), k, two_sided=False)
     exact = exact_tail_dp(law, TailQuery(n=k, threshold=x * k, two_sided=False))
     return Example3Comparison(azuma=azuma, thm2=thm2, exact=exact)

@@ -480,7 +480,7 @@ def test_criterion_11_doob_increments():
 def test_criterion_11_exponent_ratio():
     alpha = 1.5
     res = codingapps.ofdm_cf_bounds(codingapps.OfdmModel(n=10**8, M=4), alpha)
-    ratio = math.log(res.refined / 2.0) / math.log(res.azuma / 2.0)
+    ratio = res.refined.exponent / res.azuma.exponent
     criterion(
         11, "refined/azuma exponent ratio -> 2", abs(ratio - 2.0) < 1e-3,
         f"ratio = {ratio:.5f} at n = 1e8",

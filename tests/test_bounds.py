@@ -20,7 +20,7 @@ from tailforge.bounds import (
     mdp_exponent_check,
     pinsker_loosened_exponent,
     refined_pinsker_exponent,
-    small_deviation_bound,
+    small_deviation_exponents,
     tail_bound,
     thm2_exponent,
     thm3_exponent,
@@ -458,21 +458,24 @@ class TestChungLu:
 
 
 class TestSmallDeviation:
+    # 2e^-E exceeds 1 at these points, so E is checked, not tail_bound's 1
     def test_limit(self):
         spec = MartingaleSpec(2.0, 2.0)  # gamma = 1/2
-        sd = small_deviation_bound(spec, 1.0, 10**12)
-        assert sd.bound == pytest.approx(sd.limit, rel=1e-5)
-        assert sd.limit == pytest.approx(2 * math.exp(-0.25 / 1.0), abs=1e-12)
+        finite, limit = small_deviation_exponents(spec, 1.0, 10**12)
+        assert math.exp(-finite.exponent) == pytest.approx(
+            math.exp(-limit.exponent), rel=1e-5
+        )
+        assert limit.exponent == 0.25
 
     def test_gamma_one_matches_azuma_rate(self):
         spec = MartingaleSpec(1.0, 1.0)
-        sd = small_deviation_bound(spec, 0.5, 10**10)
-        assert sd.bound == pytest.approx(2 * math.exp(-0.125), rel=1e-4)
+        finite, _ = small_deviation_exponents(spec, 0.5, 10**10)
+        assert math.exp(-finite.exponent) == pytest.approx(math.exp(-0.125), rel=1e-4)
 
     def test_finite_n_is_weaker(self):
         spec = MartingaleSpec(1.0, 0.25)
-        sd = small_deviation_bound(spec, 0.4, 25)
-        assert sd.bound > sd.limit  # B < 1 at positive argument
+        finite, limit = small_deviation_exponents(spec, 0.4, 25)
+        assert finite.exponent < limit.exponent  # B < 1 at positive argument
 
 
 class TestMdp:

@@ -257,6 +257,17 @@ class TestHypothesisCommand:
         _, nats_out, _ = run_cli(capsys, *argv)
         assert cells["mdp_bound"] == dict(parse_csv(nats_out)[1])["mdp_bound"]
 
+    @pytest.mark.parametrize("eps1,mdp_n", [("4", "2"), ("0.5", "100")])
+    def test_negative_mdp_exponent_prints_one(self, capsys, eps1, mdp_n):
+        # delta_1 > 3 gamma1 (1 + gamma1) turns the MDP exponent negative
+        # (-1253 at eps1 = 4, where e^1253 overflows): the bound is trivial
+        code, out, err = run_cli(
+            capsys, "hypothesis", "--p1", "0.01,0.99", "--p2", "0.5,0.5",
+            "--eta", "0.75", "--eps1", eps1, "--mdp-n", mdp_n,
+        )
+        assert (code, err) == (0, "")
+        assert dict(parse_csv(out)[1])["mdp_bound"] == "1"
+
     def test_eta_below_validity_threshold(self, capsys):
         code, _, err = run_cli(
             capsys, "hypothesis", "--p1", "0.4,0.6", "--p2", "0.6,0.4",
@@ -665,8 +676,17 @@ class TestNanInputs:
 
     @pytest.mark.parametrize("alpha", ["1e200", "inf"])
     def test_overflowing_ofdm_alpha_gives_zero_bounds(self, capsys, alpha):
-        # alpha**2 overflows at 1e200, and B(inf) is NaN at inf
+        # alpha**2 overflows at 1e200, and inf * B(inf) = inf * 0 is NaN at inf
         code, out, err = run_cli(capsys, "ofdm", "--n", "16", "--alpha", alpha)
+        assert (code, err) == (0, "")
+        assert dict(parse_csv(out)[1]) == {
+            "azuma_bound": "0", "refined_bound": "0", "refined_limit": "0"
+        }
+
+    def test_ofdm_alpha_past_u_squared_overflow_gives_zero_bounds(self, capsys):
+        # u = delta/(gamma sqrt(n)) = 2e154: u*u overflows, yet B(u) ~ 2 ln(u)/u
+        # is a normal double and the exponent (alpha^2/4) B(u) is 3.5e156
+        code, out, err = run_cli(capsys, "ofdm", "--n", "1", "--alpha", "2e154")
         assert (code, err) == (0, "")
         assert dict(parse_csv(out)[1]) == {
             "azuma_bound": "0", "refined_bound": "0", "refined_limit": "0"

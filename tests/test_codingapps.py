@@ -379,22 +379,24 @@ class TestLdpc:
         ens = LdpcEnsemble.regular(100, 3, 6)
         res = ldpc_cycles_bound(ens, alpha=4.0)  # beta = 4/3 > 1
         assert res.beta > 1.0
-        assert res.bound == 0.0
+        assert bounds.tail_bound(res.exponent, res.n) == 0.0
 
     def test_matches_kernel_form(self):
         ens = LdpcEnsemble.regular(64, 3, 6)
         res = ldpc_cycles_bound(ens, alpha=1.5)
         assert res.beta == pytest.approx(0.5, abs=1e-14)
-        assert res.bound == pytest.approx(2 * math.exp(-64 * f_delta(0.5)), rel=1e-12)
-        want_azuma = 2 * math.exp(-(0.5**2) * 64 / 2)
-        assert res.azuma_bound == pytest.approx(want_azuma, rel=1e-12)
+        want = 2 * math.exp(-64 * f_delta(0.5))
+        assert bounds.tail_bound(res.exponent, res.n) == pytest.approx(want, rel=1e-12)
+        want = 2 * math.exp(-(0.5**2) * 64 / 2)
+        assert bounds.tail_bound(res.azuma, res.n) == pytest.approx(want, rel=1e-12)
 
     def test_tighter_than_azuma_on_grid(self):
         ens = LdpcEnsemble.regular(128, 3, 6)
         scale = (1 - ens.design_rate) * ens.avg_right_degree
         for beta in np.linspace(0.01, 1.0, 50):
             res = ldpc_cycles_bound(ens, alpha=beta * scale)
-            assert res.bound <= res.azuma_bound + 1e-15
+            # both bounds clamp to 1 at small beta, so compare the exponents
+            assert res.exponent.exponent >= res.azuma.exponent
 
     def test_json_and_validation(self):
         ens = LdpcEnsemble.from_json(
@@ -415,15 +417,16 @@ class TestOfdmBounds:
     def test_formulas(self):
         model = OfdmModel(n=64, M=4)
         res = ofdm_cf_bounds(model, alpha=4.0)
-        assert res.azuma == pytest.approx(2 * math.exp(-2.0), rel=1e-13)
-        assert res.refined_limit == pytest.approx(2 * math.exp(-4.0), rel=1e-13)
-        assert res.refined > res.refined_limit  # finite-n correction is a penalty
+        assert res.azuma.exponent == 2.0  # alpha^2/8
+        assert res.refined_limit.exponent == 4.0  # alpha^2/4
+        # finite-n correction is a penalty
+        assert res.refined.exponent < res.refined_limit.exponent
 
     def test_exponent_ratio_doubles(self):
         alpha = 1.0
         for n, tol in ((10**4, 0.02), (10**8, 1e-3)):
             res = ofdm_cf_bounds(OfdmModel(n=n, M=4), alpha)
-            ratio = math.log(res.refined / 2.0) / math.log(res.azuma / 2.0)
+            ratio = res.refined.exponent / res.azuma.exponent
             assert ratio == pytest.approx(2.0, abs=tol)
 
     def test_invalid_alpha(self):

@@ -23,7 +23,7 @@ from tailforge.hyptest import (
     refined_lower_bounds,
     ternary_skewed_family,
 )
-from tailforge.bounds import divergence_exponent
+from tailforge.bounds import divergence_exponent, tail_bound
 
 
 SWAP_PAIR = HypothesisPair.from_probs((0.4, 0.6), (0.6, 0.4))
@@ -330,7 +330,7 @@ class TestCubicLower:
                 eps1 = 0.5 * mp.d1
                 delta_n = eps1 * n ** (0.75 - 1.0) / mp.d1
                 res = moderate_deviation_hyptest(pair, eps1=eps1, eta=0.75, n=n)
-                assert -math.log(res.bound) == pytest.approx(
+                assert res.exponent.exponent == pytest.approx(
                     n * cubic_lower(mp.gamma1, delta_n), rel=1e-12
                 )
 
@@ -416,12 +416,12 @@ class TestModerateDeviations:
         assert res.asymptotic_slope == pytest.approx(
             -(0.05**2) / (2 * mp.sigma1sq), abs=1e-14
         )
-        assert 0.0 < res.bound < 1.0
+        assert 0.0 < tail_bound(res.exponent, 1, two_sided=False) < 1.0
 
     def test_scaled_log_converges_to_slope(self):
         for n in (10**6, 10**8):
             res = moderate_deviation_hyptest(SWAP_PAIR, eps1=0.05, eta=0.75, n=n)
-            scaled = n ** (1.0 - 2 * 0.75) * math.log(res.bound)
+            scaled = -(n ** (1.0 - 2 * 0.75)) * res.exponent.exponent
             assert scaled == pytest.approx(res.asymptotic_slope, rel=0.05)
 
     def test_small_n_rejected(self):
@@ -431,13 +431,13 @@ class TestModerateDeviations:
     def test_second_order_small_deviation_link(self):
         # sqrt(n)-deviation route: scaled log of the sigma1-based bound
         # approaches -eps^2/(2 sigma1^2)
-        from tailforge.bounds import MartingaleSpec, small_deviation_bound
+        from tailforge.bounds import MartingaleSpec, small_deviation_exponents
 
         mp = martingale_params(SWAP_PAIR)
         spec = MartingaleSpec(d=mp.d1, sigma2=mp.sigma1sq)
         eps = 0.05
         n = 10**8
-        sd = small_deviation_bound(spec, eps, n)
-        assert math.log(sd.bound / 2.0) == pytest.approx(
+        finite, _ = small_deviation_exponents(spec, eps, n)
+        assert -finite.exponent == pytest.approx(
             -(eps**2) / (2 * mp.sigma1sq), rel=1e-3
         )

@@ -6,6 +6,7 @@ branches.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -154,6 +155,25 @@ class TestBigB:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             big_b(-0.5)
+
+    @pytest.mark.parametrize("u", [2e154, 1e300])
+    def test_past_u_squared_overflow_against_mpmath(self, u):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            m = mpmath.mpf(u)
+            want = float(2 * ((1 + m) * mpmath.log1p(m) - m) / m**2)
+        assert big_b(u) == pytest.approx(want, rel=1e-14, abs=0)
+
+    def test_non_increasing_across_u_squared_overflow(self):
+        edge = math.sqrt(sys.float_info.max)  # u*u overflows just above it
+        grid = [edge]
+        for _ in range(40):
+            grid.insert(0, math.nextafter(grid[0], 0.0))
+            grid.append(math.nextafter(grid[-1], math.inf))
+        grid += [edge * 1.5, edge * 10.0, 1e300, sys.float_info.max, math.inf]
+        vals = [big_b(u) for u in grid]
+        assert all(a >= b for a, b in zip(vals, vals[1:]))
+        assert vals[-2] > 0.0 and vals[-1] == 0.0  # B(inf) is its limit 0
 
 
 def bisect_wm1(w, lo=-750.0, hi=-1.0):

@@ -1,7 +1,9 @@
 """Every name a tailforge module imports or keeps private is used in that module,
-and every dataclass field it declares is read somewhere in the repository."""
+every dataclass field it declares is read somewhere in the repository, and the
+sites that form a tail exponent leave its probability to ``bounds.tail_bound``."""
 
 import ast
+import fnmatch
 import functools
 from pathlib import Path
 
@@ -106,6 +108,62 @@ def _attributes_read_in_repo() -> frozenset:
     paths = (p for d in READERS for p in (ROOT / d).rglob("*.py"))
     sources = (p.read_text(encoding="utf-8") for p in paths)
     return frozenset().union(*map(attributes_read, sources))
+
+
+# functions that return exponents whose probability only tail_bound forms
+EXPONENT_SITES = (
+    "small_deviation_*",
+    "ldpc_cycles_bound",
+    "ofdm_cf_bounds",
+    "moderate_deviation_hyptest",
+    "example3_comparison",
+)
+
+
+def calls(node: ast.AST, name: str) -> list[int]:
+    """Lines under ``node`` that call ``name`` (``min``, or dotted: ``math.exp``)."""
+    return [
+        n.lineno
+        for n in ast.walk(node)
+        if isinstance(n, ast.Call) and ast.unparse(n.func) == name
+    ]
+
+
+def exponent_sites() -> dict[str, ast.FunctionDef]:
+    """Each module-level function of ``src/tailforge`` named by EXPONENT_SITES."""
+    return {
+        f"{path.name}:{node.name}": node
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.FunctionDef)
+        and any(fnmatch.fnmatchcase(node.name, p) for p in EXPONENT_SITES)
+    }
+
+
+def test_checker_flags_min_and_exp_calls():
+    source = (
+        "import math\n"
+        "def f(e):\n"
+        "    p = min(1.0, 2.0 * math.exp(-e))\n"
+        "    return math.expm1(p), max(p, 0.0)\n"
+    )
+    tree = ast.parse(source)
+    assert calls(tree, "min") == [3]
+    assert calls(tree, "math.exp") == [3]
+
+
+def test_cli_leaves_the_clamp_to_tail_bound():
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    assert calls(tree, "min") == []
+
+
+def test_exponent_sites_leave_exp_to_tail_bound():
+    sites = exponent_sites()
+    # every pattern still names a function, so a rename cannot pass unseen
+    for pattern in EXPONENT_SITES:
+        assert any(fnmatch.fnmatchcase(k.split(":")[1], pattern) for k in sites)
+    exp_calls = {k: calls(f, "math.exp") for k, f in sites.items()}
+    assert {k: lines for k, lines in exp_calls.items() if lines} == {}
 
 
 def test_checker_flags_an_unread_field():
