@@ -13,6 +13,8 @@ Throughout, gamma = sigma^2/d^2 in (0, 1] and delta = alpha/d.
 from __future__ import annotations
 
 import math
+import operator
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence, Tuple
 
@@ -112,14 +114,33 @@ class ExponentValue:
             object.__setattr__(self, "exponent", 0.0)
 
 
+def as_count(value, name: str, least: int = 1) -> int:
+    """value as an int in [least, largest double]: a length, count or order.
+
+    Python and numpy ints pass; a bool, float (NaN too) or string, or an int
+    below least or past the float range (which float arithmetic on it would
+    overflow), raises ValueError naming ``name``.
+    """
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
+    if value > sys.float_info.max:
+        raise ValueError(f"{name} must lie in [{least}, {sys.float_info.max:g}]")
+    return value
+
+
 def tail_bound(value: ExponentValue, n: int, two_sided: bool = True) -> float:
     """Probability bound min(1, c*exp(-n*E)); c = 2 two-sided, 1 one-sided.
 
     The one-sided form covers the sub/super-martingale variants, which
     differ from the martingale case only by this sign-flip/prefactor.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = as_count(n, "n")
     prefactor = 2.0 if two_sided else 1.0
     if math.isinf(value.exponent):
         return 0.0
@@ -417,8 +438,7 @@ def small_deviation_exponents(
     B(0+) = 1, the bound improves Azuma's sqrt(n)-deviation exponent by the
     factor 1/gamma in the limit.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = as_count(n, "n")
     gamma, delta = spec.gamma, spec.delta(alpha)
     lead = delta * delta / (2.0 * gamma)
     u = delta / (gamma * math.sqrt(n))
@@ -447,9 +467,7 @@ def mdp_exponent_check(
     gamma = spec.gamma
     rows = []
     for n in n_list:
-        n = int(n)
-        if n < 1:
-            raise ValueError("n must be >= 1")
+        n = as_count(n, "n")
         delta_n = alpha * n ** (eta - 1.0) / d
         div = divergence_exponent(gamma, delta_n)
         scale = float(n) ** (1.0 - 2.0 * eta)

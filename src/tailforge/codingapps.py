@@ -9,7 +9,6 @@ dimension of LDPC code ensembles.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -145,7 +144,8 @@ def channel_moment_profile(channel: DmcChannel, m: int):
     zero; even ones never need it). Returns (MomentProfile, D/d); both
     are 0 for identical rows (d = 0), where every base collapses to 1.
     """
-    if m < 2 or m % 2 != 0:
+    m = bounds.as_count(m, "m", 2)
+    if m % 2 != 0:
         raise ValueError("m must be an even integer >= 2")
     mart = LlrMartingale.of(channel.p0, channel.p1)
     if mart.d == 0.0:
@@ -184,15 +184,7 @@ class LdpcEnsemble:
     rho_coeffs: tuple[float, ...]
 
     def __post_init__(self):
-        try:
-            if isinstance(self.n, bool):
-                raise TypeError
-            n = operator.index(self.n)
-        except TypeError:
-            raise ValueError(f"n must be an integer, got {self.n!r}") from None
-        if n < 1:
-            raise ValueError("block length n must be >= 1")
-        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "n", bounds.as_count(self.n, "block length n"))
         for name, coeffs in (("lambda", self.lambda_coeffs), ("rho", self.rho_coeffs)):
             coeffs = tuple(float(c) for c in coeffs)
             if not coeffs or not all(c >= 0.0 for c in coeffs):  # NaN fails
@@ -205,8 +197,7 @@ class LdpcEnsemble:
 
     @classmethod
     def regular(cls, n: int, dv: int, dc: int) -> "LdpcEnsemble":
-        if dv < 1 or dc < 1:
-            raise ValueError("degrees must be >= 1")
+        dv, dc = bounds.as_count(dv, "degrees: dv"), bounds.as_count(dc, "degrees: dc")
         lam = [0.0] * dv
         lam[dv - 1] = 1.0
         rho = [0.0] * dc
@@ -270,10 +261,8 @@ class OfdmModel:
     M: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if self.M < 2:
-            raise ValueError("M must be >= 2")
+        object.__setattr__(self, "n", bounds.as_count(self.n, "n"))
+        object.__setattr__(self, "M", bounds.as_count(self.M, "M", 2))
 
     def constellation(self) -> np.ndarray:
         k = np.arange(self.M)
@@ -311,8 +300,7 @@ def ofdm_trig_identity(n: int, M: int) -> Fraction:
     numerically to 1e-12 and the final value is assembled in exact
     rational arithmetic.
     """
-    if n < 1 or M < 2:
-        raise ValueError("need n >= 1 and M >= 2")
+    n, M = bounds.as_count(n, "n"), bounds.as_count(M, "M", 2)
     sine_sum = math.fsum(math.sin(math.pi * k / M) ** 2 for k in range(M))
     if abs(sine_sum - M / 2.0) > 1e-12 * M:
         raise AssertionError(f"sine sum {sine_sum} deviates from M/2")
@@ -365,10 +353,7 @@ def ofdm_martingale_check(
     continuous-time CF; under-estimation cannot manufacture a jump-bound
     violation.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if inner < 1:
-        raise ValueError("inner must be >= 1")
+    trials, inner = bounds.as_count(trials, "trials"), bounds.as_count(inner, "inner")
     rng = np.random.default_rng(seed)
     n, M = model.n, model.M
     grid = _GRID_FACTOR * n

@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ._optim import newton_min
-from .bounds import ExponentValue, divergence_exponent
+from .bounds import ExponentValue, as_count, divergence_exponent
 from .pmf import FinitePmf
 
 _EDGE_TOL = 1e-12
@@ -398,19 +398,22 @@ def moderate_deviation_hyptest(
         raise ValueError(f"eps1 must be positive, got {eps1!r}")
     if not 0.5 < eta < 1.0:
         raise ValueError("eta must lie in (1/2, 1)")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = as_count(n, "n")
     mp = martingale_params(pair)
     delta_n = eps1 * n ** (eta - 1.0) / mp.d1
     if delta_n >= 1.0:
         raise ValueError(
             f"n={n} is below the validity threshold (delta={delta_n:.3g} >= 1)"
         )
-    lead = eps1**2 * n ** (2.0 * eta - 1.0) / (2.0 * mp.sigma1sq)
+    try:
+        eps1_sq = eps1**2
+    except OverflowError:  # eps1 > 1.34e154: an infinite lead keeps the sign
+        eps1_sq = math.inf  # of the correction, so the exponent is inf or 0
+    lead = eps1_sq * n ** (2.0 * eta - 1.0) / (2.0 * mp.sigma1sq)
     correction = 1.0 - eps1 * mp.d1 * n ** (eta - 1.0) / (
         3.0 * mp.sigma1sq * (1.0 + mp.gamma1)
     )
     return ModerateDeviationBound(
         exponent=ExponentValue(max(0.0, lead * correction)),  # < 0: trivial bound
-        asymptotic_slope=-(eps1**2) / (2.0 * mp.sigma1sq),
+        asymptotic_slope=-eps1_sq / (2.0 * mp.sigma1sq),
     )

@@ -10,7 +10,6 @@ oracles proving the analytic bounds valid on small instances.
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import ExponentValue, divergence_exponent, tail_bound
+from .bounds import ExponentValue, as_count, divergence_exponent, tail_bound
 from .pmf import FinitePmf
 from .specfun import binary_divergence
 
@@ -89,16 +88,6 @@ def bernoulli_centered_increment(p: float) -> IncrementLaw:
     return IncrementLaw((1.0 - p, -p), (p, 1.0 - p))
 
 
-def _integer(value, name: str) -> int:
-    """value as an int; ValueError naming it for a bool, float or string."""
-    try:
-        if isinstance(value, bool):
-            raise TypeError
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
 @dataclass(frozen=True)
 class TailQuery:
     """P(S_n >= threshold), or P(|S_n| >= threshold) when two_sided."""
@@ -108,12 +97,9 @@ class TailQuery:
     two_sided: bool = False
 
     def __post_init__(self):
-        n = _integer(self.n, "n")
-        if n < 1:
-            raise ValueError("n must be >= 1")
+        object.__setattr__(self, "n", as_count(self.n, "n"))
         if not abs(self.threshold) <= sys.float_info.max:  # ints past it too
             raise ValueError(f"threshold must be finite, got {self.threshold!r}")
-        object.__setattr__(self, "n", n)
 
 
 def _integer_lattice(values: Sequence[float]):
@@ -238,8 +224,7 @@ def types_sandwich_check(p: float, n: int, r: float) -> SandwichTriple:
     """
     if not 0.0 < p <= 0.5:
         raise ValueError("p must lie in (0, 1/2]")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = as_count(n, "n")
     if not p <= r <= 1.0:
         raise ValueError("r must lie in [p, 1]")
     num, den = r.as_integer_ratio()
@@ -353,9 +338,7 @@ def monte_carlo_tail(
     from its step counts, summing a row only where rounding could carry it
     across the threshold. Memory is O(block), whatever the trial count.
     """
-    trials = _integer(trials, "trials")
-    if trials < 100:
-        raise ValueError("need at least 100 trials")
+    trials = as_count(trials, "trials", 100)
     n, values, knots = query.n, np.array(law.values), _choice_knots(law.probs)
     tol = 2 * (n + values.size) * _UNIT_ROUNDOFF * n * law.d
     if not 2.0 * n * law.d < sys.float_info.max:
@@ -395,8 +378,7 @@ def example3_comparison(eps: float, d: float, x: float, k: int) -> Example3Compa
     delta = x/d. As eps -> 0 it vanishes for any fixed x > 0 while
     Azuma's stays put; bounds >= 1 are reported as 1.
     """
-    if not 1 <= k <= sys.float_info.max:  # x * k would raise OverflowError
-        raise ValueError(f"k must lie in [1, {sys.float_info.max:g}]")
+    k = as_count(k, "k")
     if not 0.0 <= x * k < math.inf:
         raise ValueError(f"x must be non-negative with x*k finite, got {x!r}")
     law, r = two_point_increment(d, eps), x / d

@@ -4,6 +4,10 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +23,18 @@ def run_cli(capsys, *argv):
 def parse_csv(text):
     rows = list(csv.reader(io.StringIO(text)))
     return rows[0], rows[1:]
+
+
+def run_process(*argv):
+    """Exit code, stdout and stderr of ``python -m tailforge.cli argv``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "tailforge.cli", *argv],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+        timeout=120, check=False,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 class TestExponentsCommand:
@@ -199,6 +215,48 @@ class TestPairwiseCommand:
         code, _, err = run_cli(capsys, "pairwise", "--config", str(cfg))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--qary", "2", "0.1", "--m", "172"),  # math.factorial(l - j) to float
+            ("--qary", "2,3,5,10", "0.04", "--m", "160", "--tilde"),  # x ** (l - j)
+        ],
+        ids=["factorial", "power"],
+    )
+    def test_overflowing_moment_order_is_numerical_failure(self, capsys, argv):
+        code, out, err = run_cli(capsys, "pairwise", *argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("numerical failure: ")
+
+    @pytest.mark.parametrize(
+        "argv,want",
+        [
+            (
+                ("--qary", "2", "0.1"),
+                'channel,zB,z1,z2_150\n"qary(2,0.1)",0.6,0.6,0.6\n',
+            ),
+            (
+                ("--qary", "2,3,5,10", "0.04", "--tilde"),
+                "channel,zB,z1,z2_150,z2tilde_150\n"
+                '"qary(2,0.04)",0.391918358845308,0.391918358845308,'
+                "0.391918358845308,0.391922140903732\n"
+                '"qary(3,0.04)",0.423666521865018,0.442373491025582,'
+                "0.423666521865017,0.423685720477843\n"
+                '"qary(5,0.04)",0.486606055596467,0.529735573824046,'
+                "0.486606055596467,0.486750683809477\n"
+                '"qary(10,0.04)",0.64,0.70116103268473,0.64,0.641710222594907\n',
+            ),
+        ],
+        ids=["bsc", "qary-tilde"],
+    )
+    def test_moment_order_150_prints(self, capsys, argv, want):
+        code, out, err = run_cli(
+            capsys, "pairwise", *argv, "--m", "150", "--precision", "15"
+        )
+        assert (code, err) == (0, "")
+        assert out == want
+
 
 class TestHypothesisCommand:
     def test_example_values(self, capsys):
@@ -267,6 +325,25 @@ class TestHypothesisCommand:
         )
         assert (code, err) == (0, "")
         assert dict(parse_csv(out)[1])["mdp_bound"] == "1"
+
+    @pytest.mark.parametrize(
+        "p1,p2,mdp_n,bound",
+        [
+            ("0.5,0.5", "1e-300,1", "1" + "0" * 305, "0"),  # correction +0.938
+            ("1e-300,1", "0.5,0.5", "1" + "0" * 306, "1"),  # correction -1.95e298
+        ],
+        ids=["positive-correction", "negative-correction"],
+    )
+    def test_mdp_eps1_square_overflow(self, capsys, p1, p2, mdp_n, bound):
+        # eps1**2 overflows: the exponent is +inf only where the correction is > 0
+        code, out, err = run_cli(
+            capsys, "hypothesis", "--p1", p1, "--p2", p2, "--eta", "0.501",
+            "--eps1", "2e154", "--mdp-n", mdp_n,
+        )
+        assert (code, err) == (0, "")
+        cells = dict(parse_csv(out)[1])
+        assert cells["mdp_bound"] == bound
+        assert cells["mdp_asymptotic_slope"] == "-inf"
 
     def test_eta_below_validity_threshold(self, capsys):
         code, _, err = run_cli(
@@ -691,3 +768,28 @@ class TestNanInputs:
         assert dict(parse_csv(out)[1]) == {
             "azuma_bound": "0", "refined_bound": "0", "refined_limit": "0"
         }
+
+
+class TestLengthsPastTheFloatRange:
+    """A length past the largest double is refused before any arithmetic on it."""
+
+    @pytest.mark.parametrize(
+        "argv,name",
+        [
+            (("ldpc", "--regular", "3,6", "--alpha", "0.1", "--n"), "block length n"),
+            (("ofdm", "--alpha", "1", "--n"), "n"),
+            (
+                (
+                    "hypothesis", "--p1", "0.4,0.6", "--p2", "0.6,0.4",
+                    "--eta", "0.75", "--mdp-n",
+                ),
+                "n",
+            ),
+        ],
+        ids=["ldpc", "ofdm", "hypothesis-mdp"],
+    )
+    def test_401_digit_length_exits_2(self, argv, name):
+        code, out, err = run_process(*argv, "1" + "0" * 400)
+        assert code == 2
+        assert out == ""
+        assert err == f"config error: {name} must lie in [1, 1.79769e+308]\n"

@@ -1,6 +1,7 @@
 """Every name a tailforge module imports or keeps private is used in that module,
-every dataclass field it declares is read somewhere in the repository, and the
-sites that form a tail exponent leave its probability to ``bounds.tail_bound``."""
+every dataclass field it declares is read somewhere in the repository, the
+sites that form a tail exponent leave its probability to ``bounds.tail_bound``,
+and only ``bounds.as_count`` decides what counts as an integer."""
 
 import ast
 import fnmatch
@@ -164,6 +165,28 @@ def test_exponent_sites_leave_exp_to_tail_bound():
         assert any(fnmatch.fnmatchcase(k.split(":")[1], pattern) for k in sites)
     exp_calls = {k: calls(f, "math.exp") for k, f in sites.items()}
     assert {k: lines for k, lines in exp_calls.items() if lines} == {}
+
+
+def test_integer_rule_lives_in_as_count():
+    # every length or count goes through bounds.as_count, the one operator.index
+    sites, importers = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        sites += [
+            f"{path.name}:{getattr(node, 'name', node.lineno)}"
+            for node in tree.body
+            if calls(node, "operator.index")
+        ]
+        importers += [
+            path.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            and any(a.name == "operator" for a in node.names)
+            or isinstance(node, ast.ImportFrom)
+            and node.module == "operator"
+        ]
+    assert sites == ["bounds.py:as_count"]
+    assert importers == ["bounds.py"]
 
 
 def test_checker_flags_an_unread_field():
