@@ -11,9 +11,8 @@ probability bound, clipped to [0, 1].
 """
 
 from .pmf import AlphabetMismatchError, FinitePmf
-from .specfun import ConvergenceError
+from .specfun import ConvergenceError, InfeasibleError
 from .bounds import ExponentValue, MartingaleSpec, MomentProfile
-from .validate import InfeasibleError
 
 __version__ = "0.1.0"
 

@@ -192,8 +192,8 @@ def refined_pinsker_exponent(delta: float) -> ExponentValue:
     delta^2/2 + delta^4/36 + delta^6/270 + 221*delta^8/340220 for
     delta in [0, 1]; +inf beyond.
     """
-    if delta < 0.0:
-        raise ValueError("delta must be non-negative")
+    if not delta >= 0.0:  # NaN fails
+        raise ValueError(f"delta must be non-negative, got {delta!r}")
     if delta > 1.0:
         return ExponentValue(math.inf)
     d2 = delta * delta
@@ -325,8 +325,8 @@ def thm4_exponent(profile: MomentProfile, delta: float) -> ExponentValue:
     flags a minimizer pinned at the ceiling (the infimum may then sit at
     x -> inf and the reported exponent is a valid lower bound of it).
     """
-    if delta < 0.0:
-        raise ValueError("delta must be non-negative")
+    if not delta >= 0.0:  # NaN fails
+        raise ValueError(f"delta must be non-negative, got {delta!r}")
     if delta > 1.0:
         return ExponentValue(math.inf)
     if delta == 0.0:
@@ -368,8 +368,8 @@ def cor4_exponent(gamma: float, delta: float) -> ExponentValue:
     if not 0.0 < gamma <= 1.0 + BOUNDARY_CLAMP:
         raise ValueError("gamma must lie in (0, 1]")
     gamma = min(gamma, 1.0)
-    if delta < 0.0:
-        raise ValueError("delta must be non-negative")
+    if not delta >= 0.0:  # NaN fails
+        raise ValueError(f"delta must be non-negative, got {delta!r}")
     if delta > 1.0:
         return ExponentValue(math.inf)
     if delta == 0.0:
@@ -424,8 +424,8 @@ def chung_lu_exponent(gamma: float, delta: float) -> ExponentValue:
     """Bernstein-style comparison exponent delta^2 / (2 gamma + 2 delta/3)."""
     if not 0.0 < gamma <= 1.0 + BOUNDARY_CLAMP:
         raise ValueError("gamma must lie in (0, 1]")
-    if delta < 0.0:
-        raise ValueError("delta must be non-negative")
+    if not delta >= 0.0:  # NaN fails
+        raise ValueError(f"delta must be non-negative, got {delta!r}")
     return ExponentValue(delta * delta / (2.0 * gamma + 2.0 * delta / 3.0))
 
 

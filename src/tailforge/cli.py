@@ -3,6 +3,8 @@
 Emits CSV (RFC-4180 style, header row, '.' decimal separator, 'inf' for
 +infinity) or JSON. Identical inputs and seed produce byte-identical
 output. Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+Each subcommand imports the application module it runs, so that a process
+compiles and loads only that one.
 """
 
 from __future__ import annotations
@@ -14,11 +16,9 @@ import json
 import math
 import sys
 
-from . import bounds, codingapps, hyptest, validate
+from . import bounds
 from .bounds import MartingaleSpec
-from .hyptest import HypothesisPair, Thresholds
-from .specfun import ConvergenceError, f_delta
-from .validate import InfeasibleError, TailQuery
+from .specfun import ConvergenceError, InfeasibleError, f_delta
 
 LN2 = math.log(2.0)
 
@@ -162,26 +162,26 @@ def cmd_exponents(args) -> int:
     return EXIT_OK
 
 
-def _channels_from_args(args):
+def cmd_pairwise(args) -> int:
+    from . import codingapps
     if args.config:
+        if args.qary:
+            raise ConfigError("--qary applies only without --config")
         obj = _load_json(args.config)
         try:
-            return [("config", codingapps.DmcChannel.from_json(obj))]
+            channels = [("config", codingapps.DmcChannel.from_json(obj))]
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
-    if args.qary:
+    elif args.qary:
         qspec, p = args.qary
         try:
             p = float(p)
         except ValueError as exc:
             raise ConfigError(f"bad crossover probability {p!r}") from exc
         qs = _parse_int_list(qspec)
-        return [(f"qary({q},{p:g})", codingapps.q_ary_channel(q, p)) for q in qs]
-    raise ConfigError("need --config CHANNEL.json or --qary QLIST P")
-
-
-def cmd_pairwise(args) -> int:
-    channels = _channels_from_args(args)
+        channels = [(f"qary({q},{p:g})", codingapps.q_ary_channel(q, p)) for q in qs]
+    else:
+        raise ConfigError("need --config CHANNEL.json or --qary QLIST P")
     m_list = _parse_int_list(args.m) if args.m else [2, 4, 6, 8, 10]
     columns = ["channel", "zB", "z1"]
     columns += [f"z2_{m}" for m in m_list]
@@ -204,9 +204,12 @@ def cmd_pairwise(args) -> int:
     return EXIT_OK
 
 
-def _pair_from_args(args) -> tuple[HypothesisPair, Thresholds]:
+def _pair_from_args(args):
+    from .hyptest import HypothesisPair, Thresholds
     thresholds = Thresholds.single(0.0)
     if args.config:
+        if args.p1 or args.p2 or args.thresholds:
+            raise ConfigError("--p1, --p2 and --thresholds apply only without --config")
         cfg = _load_json(args.config)
         for key in ("p1", "p2"):
             if key not in cfg:
@@ -228,13 +231,21 @@ def _pair_from_args(args) -> tuple[HypothesisPair, Thresholds]:
             _parse_float_list(args.p1), _parse_float_list(args.p2)
         )
         if args.thresholds:
-            lb, lu = _parse_float_list(args.thresholds)
-            thresholds = Thresholds(lb, lu)
+            t = _parse_float_list(args.thresholds)
+            if len(t) != 2:
+                raise ConfigError(
+                    "--thresholds wants LAMBDA_BAR,LAMBDA_UNDER (two numbers), "
+                    f"got {args.thresholds!r}"
+                )
+            thresholds = Thresholds(*t)
         return pair, thresholds
     raise ConfigError("need --config PAIR.json or --p1/--p2")
 
 
 def cmd_hypothesis(args) -> int:
+    from . import hyptest
+    if args.eta is None and (args.eps1 is not None or args.mdp_n is not None):
+        raise ConfigError("--eps1 and --mdp-n apply only to --eta")
     pair, thresholds = _pair_from_args(args)
     exact = hyptest.exact_exponents(pair, thresholds)
     refined = hyptest.refined_lower_bounds(pair, thresholds)
@@ -255,9 +266,9 @@ def cmd_hypothesis(args) -> int:
         {"quantity": "d2", "value": mp.d2},
     ]
     if args.eta is not None:
-        md = hyptest.moderate_deviation_hyptest(
-            pair, eps1=args.eps1, eta=args.eta, n=args.mdp_n
-        )
+        eps1 = 0.05 if args.eps1 is None else args.eps1
+        n = 10**4 if args.mdp_n is None else args.mdp_n
+        md = hyptest.moderate_deviation_hyptest(pair, eps1=eps1, eta=args.eta, n=n)
         # mdp_bound is a probability: formatted here so --units never scales it
         bound = _fmt(bounds.tail_bound(md.exponent, 1, two_sided=False), args.precision)
         rows += [
@@ -269,9 +280,12 @@ def cmd_hypothesis(args) -> int:
 
 
 def cmd_ldpc(args) -> int:
+    from . import codingapps
     if args.config:
         if args.n is not None:
             raise ConfigError("--n applies only to --regular")
+        if args.regular:
+            raise ConfigError("--regular applies only without --config")
         try:
             ens = codingapps.LdpcEnsemble.from_json(_load_json(args.config))
         except (TypeError, ValueError) as exc:
@@ -300,6 +314,9 @@ def cmd_ldpc(args) -> int:
 
 
 def cmd_ofdm(args) -> int:
+    from . import codingapps
+    if not args.check and (args.seed is not None or args.trials is not None):
+        raise ConfigError("--seed and --trials apply only to --check")
     model = codingapps.OfdmModel(n=args.n, M=args.M)
     res = codingapps.ofdm_cf_bounds(model, args.alpha)
     rows = [
@@ -310,9 +327,8 @@ def cmd_ofdm(args) -> int:
     if args.check:
         if args.seed is None:
             raise ConfigError("--check requires --seed")
-        rep = codingapps.ofdm_martingale_check(
-            model, trials=args.trials, seed=args.seed
-        )
+        trials = 200 if args.trials is None else args.trials
+        rep = codingapps.ofdm_martingale_check(model, trials=trials, seed=args.seed)
         rows += [
             {"quantity": "jump_bound", "value": rep.jump_bound},
             {"quantity": "max_increment", "value": rep.max_increment},
@@ -326,6 +342,8 @@ def cmd_ofdm(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from . import validate
+    from .validate import TailQuery
     if args.seed is None:
         raise ConfigError("simulate requires --seed")
     two_point = (args.eps, args.d, args.x)
@@ -413,8 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--eta", type=float, help="moderate-deviations exponent in (1/2, 1)"
     )
-    p.add_argument("--eps1", type=float, default=0.05)
-    p.add_argument("--mdp-n", type=int, default=10**4)
+    p.add_argument("--eps1", type=float, help="with --eta (default 0.05)")
+    p.add_argument("--mdp-n", type=int, help="with --eta (default 10**4)")
     p.set_defaults(func=cmd_hypothesis)
 
     p = sub.add_parser("ldpc", help="cycle-space concentration for an ensemble")
@@ -432,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--M", type=int, default=4)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--check", action="store_true", help="sample Doob increments")
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=int, help="with --check (default 200)")
     p.set_defaults(func=cmd_ofdm)
 
     p = sub.add_parser("simulate", help="exact/Monte-Carlo tails for a law")
@@ -463,8 +481,12 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         return args.func(args)
-    except (ConvergenceError, InfeasibleError, OverflowError) as exc:
+    except (ConvergenceError, InfeasibleError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except OverflowError as exc:
+        detail = exc.args[-1]  # a math range error's args are (errno, text)
+        print(f"numerical failure: floating-point overflow: {detail}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:  # ConfigError and invalid user parameters
         print(f"config error: {exc}", file=sys.stderr)

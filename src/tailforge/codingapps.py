@@ -17,8 +17,7 @@ import numpy as np
 
 from . import bounds
 from .bounds import ExponentValue, MartingaleSpec, MomentProfile, divergence_exponent
-from .hyptest import LlrMartingale
-from .pmf import FinitePmf
+from .pmf import FinitePmf, LlrMartingale
 from .specfun import f_delta
 
 _SYM_TOL = 1e-12
@@ -136,7 +135,7 @@ def z1(channel: DmcChannel) -> PairwiseBound:
 def channel_moment_profile(channel: DmcChannel, m: int):
     """One-sided moment profile of the pairwise-error martingale jumps.
 
-    That martingale is hyptest's LlrMartingale of P(.|0) against P(.|1):
+    That martingale is pmf's LlrMartingale of P(.|0) against P(.|1):
     llr = ln(P(y|0)/P(y|1)), D its mean, d = max_y |llr - D|. Output
     symmetry pairs each llr value with its negative, so d equals the
     paper's max_y |ln(P(y|1)/P(y|0))| + D. gamma_l = max{0, (-1)^l

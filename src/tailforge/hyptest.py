@@ -18,36 +18,9 @@ import numpy as np
 
 from ._optim import newton_min
 from .bounds import ExponentValue, as_count, divergence_exponent
-from .pmf import FinitePmf
+from .pmf import FinitePmf, LlrMartingale
 
 _EDGE_TOL = 1e-12
-
-
-@dataclass(frozen=True, eq=False)
-class LlrMartingale:
-    """Doob martingale of ln(P(X)/Q(X)), revealed one sample at a time under P.
-
-    llr = ln(P/Q) per symbol, D = E_P[llr] = D(P||Q) in nats and the jump
-    bound d = max |llr - D|. A DMC's pairwise-error martingale is this
-    record at P = P(.|0), Q = P(.|1) and a zero threshold.
-    """
-
-    probs: np.ndarray
-    llr: np.ndarray
-    D: float
-    d: float
-
-    @classmethod
-    def of(cls, p: FinitePmf, q: FinitePmf) -> "LlrMartingale":
-        probs = p.as_array()
-        llr = np.log(probs / q.as_array())
-        llr.flags.writeable = False
-        div = float(np.dot(probs, llr))
-        return cls(probs, llr, div, float(np.max(np.abs(llr - div))))
-
-    def moment(self, l: int) -> float:
-        """Centred moment E_P[(llr - D)^l]."""
-        return float(np.dot(self.probs, (self.llr - self.D) ** l))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Finite probability mass functions on labeled alphabets."""
+"""Finite pmfs on labeled alphabets and the log-likelihood-ratio martingale."""
 
 from __future__ import annotations
 
@@ -57,3 +57,30 @@ class FinitePmf:
             raise AlphabetMismatchError(
                 f"alphabets differ: {self.symbols} vs {other.symbols}"
             )
+
+
+@dataclass(frozen=True, eq=False)
+class LlrMartingale:
+    """Doob martingale of ln(P(X)/Q(X)), revealed one sample at a time under P.
+
+    llr = ln(P/Q) per symbol, D = E_P[llr] = D(P||Q) in nats and the jump
+    bound d = max |llr - D|. A DMC's pairwise-error martingale is this
+    record at P = P(.|0), Q = P(.|1) and a zero threshold.
+    """
+
+    probs: np.ndarray
+    llr: np.ndarray
+    D: float
+    d: float
+
+    @classmethod
+    def of(cls, p: FinitePmf, q: FinitePmf) -> "LlrMartingale":
+        probs = p.as_array()
+        llr = np.log(probs / q.as_array())
+        llr.flags.writeable = False
+        div = float(np.dot(probs, llr))
+        return cls(probs, llr, div, float(np.max(np.abs(llr - div))))
+
+    def moment(self, l: int) -> float:
+        """Centred moment E_P[(llr - D)^l]."""
+        return float(np.dot(self.probs, (self.llr - self.D) ** l))

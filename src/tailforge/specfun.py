@@ -1,8 +1,9 @@
 """Scalar special functions shared by all tail-exponent computations.
 
 The binary divergence (natural log), the bounded-jump kernel
-f(delta) = ln2*(1 - h2((1-delta)/2)), the Bennett-type kernel B(u) and
-both real branches of the Lambert W function.
+f(delta) = ln2*(1 - h2((1-delta)/2)), the Bennett-type kernel B(u), both
+real branches of the Lambert W function, and the two errors that the CLI
+reports as a numerical failure (exit 3).
 
 Conventions: 0*ln(0) = 0 everywhere; +inf is an explicit return value
 (math.inf), never an overflow artifact; inputs within BOUNDARY_CLAMP of a
@@ -21,6 +22,10 @@ _LAMBERT_MAX_ITER = 50
 
 class ConvergenceError(ArithmeticError):
     """An iterative routine failed to meet its residual contract."""
+
+
+class InfeasibleError(ValueError):
+    """The requested exact computation exceeds the supported size."""
 
 
 def _clamp_unit(x: float, name: str) -> float:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .bounds import ExponentValue, as_count, divergence_exponent, tail_bound
 from .pmf import FinitePmf
-from .specfun import binary_divergence
+from .specfun import InfeasibleError, binary_divergence
 
 _RATIONAL_DENOM_CAP = 10**6
 _STATE_CAP = 5_000_000  # lattice entries the DP may hold
@@ -33,10 +33,6 @@ _SAMPLE_BLOCK = 2**14  # Monte Carlo cells (uniforms) drawn per block
 _UNIT_ROUNDOFF = 2.0**-53
 _WILSON_Z = 1.959963984540054  # 95% normal quantile
 _FLOAT_MIN = sys.float_info.min  # smallest normal double
-
-
-class InfeasibleError(ValueError):
-    """The requested exact computation exceeds the supported size."""
 
 
 @dataclass(frozen=True)

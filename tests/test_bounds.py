@@ -89,6 +89,22 @@ class TestSpecTypes:
         assert ExponentValue(-1e-13).exponent == 0.0
         assert ExponentValue(math.inf).exponent == math.inf
 
+    @pytest.mark.parametrize("delta", [math.nan, -0.5])
+    @pytest.mark.parametrize(
+        "route",
+        [
+            refined_pinsker_exponent,
+            lambda d: thm4_exponent(MomentProfile((0.5, 0.4, 0.35)), d),
+            lambda d: cor4_exponent(0.5, d),
+            lambda d: chung_lu_exponent(0.5, d),
+        ],
+        ids=["refined_pinsker", "thm4", "cor4", "chung_lu"],
+    )
+    def test_gamma_delta_routes_reject_nan_and_negative_delta(self, route, delta):
+        message = f"^delta must be non-negative, got {delta!r}$"
+        with pytest.raises(ValueError, match=message):
+            route(delta)
+
 
 class TestAzuma:
     def test_basic(self):

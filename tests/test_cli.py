@@ -227,7 +227,8 @@ class TestPairwiseCommand:
         code, out, err = run_cli(capsys, "pairwise", *argv)
         assert code == 3
         assert out == ""
-        assert err.startswith("numerical failure: ")
+        assert err.startswith("numerical failure: floating-point overflow: ")
+        assert "(34, " not in err  # the errno tuple of a math range error
 
     @pytest.mark.parametrize(
         "argv,want",
@@ -296,6 +297,18 @@ class TestHypothesisCommand:
             "--thresholds", "0.5,-0.5",
         )
         assert code == 2
+
+    @pytest.mark.parametrize("spec", ["0.1", "0.1,0.05,0"])
+    def test_thresholds_want_two_numbers(self, capsys, spec):
+        code, out, err = run_cli(
+            capsys, "hypothesis", "--p1", "0.4,0.6", "--p2", "0.6,0.4",
+            "--thresholds", spec,
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "config error: --thresholds wants LAMBDA_BAR,LAMBDA_UNDER "
+            f"(two numbers), got {spec!r}\n"
+        )
 
     @pytest.mark.parametrize(
         "units,mdp_n", [("nats", "10000"), ("nats", "100"), ("bits", "100")]
@@ -684,6 +697,89 @@ class TestPerCommandFlags:
         assert exc.value.code == 2
         assert out == ""
         assert "unrecognized arguments" in err
+
+
+class TestFlagsTheModeIgnores:
+    """A flag that the chosen mode would not read exits 2 and names it."""
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (
+                ("ofdm", "--n", "8", "--alpha", "2", "--seed", "1"),
+                "--seed and --trials apply only to --check",
+            ),
+            (
+                ("ofdm", "--n", "8", "--alpha", "2", "--trials", "20"),
+                "--seed and --trials apply only to --check",
+            ),
+            (
+                ("hypothesis", "--p1", "0.4,0.6", "--p2", "0.6,0.4", "--eps1", "0.1"),
+                "--eps1 and --mdp-n apply only to --eta",
+            ),
+            (
+                ("hypothesis", "--p1", "0.4,0.6", "--p2", "0.6,0.4", "--mdp-n", "100"),
+                "--eps1 and --mdp-n apply only to --eta",
+            ),
+            (
+                ("hypothesis", "--config", "hypothesis.json", "--p1", "0.4,0.6"),
+                "--p1, --p2 and --thresholds apply only without --config",
+            ),
+            (
+                ("hypothesis", "--config", "hypothesis.json", "--p2", "0.6,0.4"),
+                "--p1, --p2 and --thresholds apply only without --config",
+            ),
+            (
+                ("hypothesis", "--config", "hypothesis.json", "--thresholds", "0,0"),
+                "--p1, --p2 and --thresholds apply only without --config",
+            ),
+            (
+                ("ldpc", "--config", "ldpc.json", "--regular", "3,6", "--alpha", "0.1"),
+                "--regular applies only without --config",
+            ),
+            (
+                ("pairwise", "--config", "channel.json", "--qary", "2", "0.1"),
+                "--qary applies only without --config",
+            ),
+        ],
+        ids=[
+            "ofdm-seed",
+            "ofdm-trials",
+            "hypothesis-eps1",
+            "hypothesis-mdp-n",
+            "hypothesis-config-p1",
+            "hypothesis-config-p2",
+            "hypothesis-config-thresholds",
+            "ldpc-config-regular",
+            "pairwise-config-qary",
+        ],
+    )
+    def test_flag_is_config_error(self, capsys, argv, message):
+        inputs = Path(__file__).resolve().parents[1] / "perfbench" / "inputs"
+        argv = [str(inputs / a) if a.endswith(".json") else a for a in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv,defaults",
+        [
+            (
+                ("ofdm", "--n", "8", "--alpha", "2", "--check", "--seed", "1"),
+                ("--trials", "200"),
+            ),
+            (
+                ("hypothesis", "--p1", "0.4,0.6", "--p2", "0.6,0.4", "--eta", "0.75"),
+                ("--eps1", "0.05", "--mdp-n", "10000"),
+            ),
+        ],
+        ids=["ofdm", "hypothesis"],
+    )
+    def test_mode_keeps_its_defaults(self, capsys, argv, defaults):
+        implicit = run_cli(capsys, *argv)
+        assert implicit[0] == 0
+        assert run_cli(capsys, *argv, *defaults) == implicit
 
 
 class TestNanInputs:
