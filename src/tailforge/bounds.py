@@ -18,14 +18,14 @@ import sys
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence, Tuple
 
-from ._optim import newton_min
 from .specfun import (
     BOUNDARY_CLAMP,
     big_b,
-    binary_divergence,
+    divergence_exponent,
     f_delta,
     lambert_w0_exparg,
     lambert_wm1_logarg,
+    newton_min,
 )
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ class MartingaleSpec:
 
     def delta(self, alpha: float) -> float:
         if not alpha >= 0.0:  # NaN fails
-            raise ValueError("alpha must be non-negative")
+            raise ValueError(f"alpha must be non-negative, got {alpha!r}")
         return alpha / self.d
 
 
@@ -74,8 +74,8 @@ class MomentProfile:
             raise ValueError("profile needs at least gamma_2")
         if (len(gammas) + 1) % 2 != 0:
             raise ValueError("m = len(gammas) + 1 must be even")
-        if any(g < 0.0 for g in gammas):
-            raise ValueError("moment ratios must be non-negative")
+        if not all(g >= 0.0 for g in gammas):  # NaN fails
+            raise ValueError(f"moment ratios must be non-negative, got {gammas!r}")
         object.__setattr__(self, "gammas", gammas)
 
     @property
@@ -150,21 +150,14 @@ def tail_bound(value: ExponentValue, n: int, two_sided: bool = True) -> float:
 def exponent_or_inf(compute: Callable[[], float]) -> ExponentValue:
     """ExponentValue(compute()), +inf where compute's arithmetic overflows.
 
-    Overflow raises OverflowError in ``x**2``, and an infinite lead times a
-    kernel rounded to 0 gives NaN (callers reject NaN inputs beforehand).
+    Overflow raises OverflowError in ``x**2``, and an overflowed term gives
+    NaN as inf - inf, inf/inf or inf*0 (callers reject NaN inputs beforehand).
     """
     try:
         e = compute()
     except OverflowError:
         return ExponentValue(math.inf)
     return ExponentValue(math.inf if math.isnan(e) else e)
-
-
-def divergence_exponent(gamma: float, delta: float) -> float:
-    """D((delta+gamma)/(1+gamma) || gamma/(1+gamma)); +inf for delta > 1."""
-    if delta > 1.0:
-        return math.inf
-    return binary_divergence((delta + gamma) / (1.0 + gamma), gamma / (1.0 + gamma))
 
 
 def azuma_exponent(spec: MartingaleSpec, alpha: float) -> ExponentValue:
@@ -208,7 +201,7 @@ def cor3_exponent(spec: MartingaleSpec, alpha: float) -> ExponentValue:
     """
     gamma, delta = spec.gamma, spec.delta(alpha)
     u = delta / gamma
-    return ExponentValue(gamma * ((1.0 + u) * math.log1p(u) - u))
+    return exponent_or_inf(lambda: gamma * ((1.0 + u) * math.log1p(u) - u))
 
 
 def thm3_exponent(spec: MartingaleSpec, alpha: float) -> ExponentValue:
@@ -426,7 +419,7 @@ def chung_lu_exponent(gamma: float, delta: float) -> ExponentValue:
         raise ValueError("gamma must lie in (0, 1]")
     if not delta >= 0.0:  # NaN fails
         raise ValueError(f"delta must be non-negative, got {delta!r}")
-    return ExponentValue(delta * delta / (2.0 * gamma + 2.0 * delta / 3.0))
+    return exponent_or_inf(lambda: delta * delta / (2.0 * gamma + 2.0 * delta / 3.0))
 
 
 def small_deviation_exponents(

@@ -93,9 +93,11 @@ def _parse_grid(spec: str):
         raise ConfigError(f"bad grid spec {spec!r}, want start:stop:count") from exc
     if count < 1:
         raise ConfigError("grid count must be >= 1")
+    step = (stop - start) / (count - 1) if count > 1 else 0.0
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ConfigError(f"bad grid spec {spec!r}: start, stop and step must be finite")
     if count == 1:
         return [start]
-    step = (stop - start) / (count - 1)
     return [start + i * step for i in range(count)]
 
 

@@ -85,8 +85,7 @@ def q_ary_channel(q: int, p: float) -> DmcChannel:
     Input 0 favors output 0, input 1 favors output Q-1; the symmetry
     involution is y -> Q-1-y. Requires 0 < p < 1/(Q-1) (open interval).
     """
-    if q < 2:
-        raise ValueError("q must be >= 2")
+    q = bounds.as_count(q, "q", 2)
     if not 0.0 < p < 1.0 / (q - 1):
         raise ValueError(f"p must lie in (0, {1.0/(q-1)})")
     outputs = tuple(range(q))
@@ -110,9 +109,7 @@ class PairwiseBound:
     base: float
 
     def prob(self, h: int) -> float:
-        if h < 0:
-            raise ValueError("Hamming weight must be non-negative")
-        return self.base**h
+        return self.base ** bounds.as_count(h, "Hamming weight h", 0)
 
 
 def bhattacharyya(channel: DmcChannel) -> PairwiseBound:

@@ -16,9 +16,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._optim import newton_min
 from .bounds import ExponentValue, as_count, divergence_exponent
 from .pmf import FinitePmf, LlrMartingale
+from .specfun import newton_min
 
 _EDGE_TOL = 1e-12
 

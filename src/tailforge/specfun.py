@@ -1,13 +1,14 @@
-"""Scalar special functions shared by all tail-exponent computations.
+"""Scalar numerics shared by all tail-exponent computations.
 
-The binary divergence (natural log), the bounded-jump kernel
-f(delta) = ln2*(1 - h2((1-delta)/2)), the Bennett-type kernel B(u), both
-real branches of the Lambert W function, and the two errors that the CLI
-reports as a numerical failure (exit 3).
+The binary divergence (natural log) and the divergence exponent, whose
+gamma = 1 case is f(delta) = ln2*(1 - h2((1-delta)/2)); the Bennett-type
+kernel B(u); both real branches of the Lambert W function; the 1-D
+minimiser ``newton_min``; and the two errors the CLI reports as exit 3.
 
 Conventions: 0*ln(0) = 0 everywhere; +inf is an explicit return value
-(math.inf), never an overflow artifact; inputs within BOUNDARY_CLAMP of a
-domain boundary are clamped onto it. All functions are pure.
+(math.inf), never an overflow artifact; ``_clamp`` snaps an input within
+BOUNDARY_CLAMP of its domain [0, hi] onto it and rejects any other input
+outside it, NaN too. All functions are pure.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ INV_E = math.exp(-1.0)
 BOUNDARY_CLAMP = 1e-12
 
 _LAMBERT_MAX_ITER = 50
+_NEWTON_TOL = 1e-10  # newton_min stops at a step or bracket this small, times max(1, |t|)
 
 
 class ConvergenceError(ArithmeticError):
@@ -28,17 +30,15 @@ class InfeasibleError(ValueError):
     """The requested exact computation exceeds the supported size."""
 
 
-def _clamp_unit(x: float, name: str) -> float:
-    """Clamp x into [0, 1], allowing BOUNDARY_CLAMP of slack outside."""
-    if x < 0.0:
-        if x >= -BOUNDARY_CLAMP:
-            return 0.0
-        raise ValueError(f"{name}={x} is outside [0, 1]")
-    if x > 1.0:
-        if x <= 1.0 + BOUNDARY_CLAMP:
-            return 1.0
-        raise ValueError(f"{name}={x} is outside [0, 1]")
-    return x
+def _clamp(x: float, name: str, hi: float = math.inf) -> float:
+    """x in [0, hi]; within BOUNDARY_CLAMP outside, the nearer end; else ValueError."""
+    if 0.0 <= x <= hi:
+        return x
+    if -BOUNDARY_CLAMP <= x < 0.0:
+        return 0.0
+    if hi < x <= hi + BOUNDARY_CLAMP:
+        return hi
+    raise ValueError(f"{name}={x!r} is outside [0, {hi:g}]")
 
 
 def _xlogx_ratio(p: float, q: float) -> float:
@@ -53,8 +53,8 @@ def binary_divergence(p: float, q: float) -> float:
 
     Requires q in (0, 1) unless p == q (D(q||q) = 0 at the endpoints too).
     """
-    p = _clamp_unit(p, "p")
-    q = _clamp_unit(q, "q")
+    p = _clamp(p, "p", 1.0)
+    q = _clamp(q, "q", 1.0)
     if q <= 0.0 or q >= 1.0:
         if p == q:
             return 0.0
@@ -62,20 +62,20 @@ def binary_divergence(p: float, q: float) -> float:
     return _xlogx_ratio(p, q) + _xlogx_ratio(1.0 - p, 1.0 - q)
 
 
+def divergence_exponent(gamma: float, delta: float) -> float:
+    """D((delta+gamma)/(1+gamma) || gamma/(1+gamma)); +inf for delta > 1."""
+    if delta > 1.0:
+        return math.inf
+    return binary_divergence((delta + gamma) / (1.0 + gamma), gamma / (1.0 + gamma))
+
+
 def f_delta(delta: float) -> float:
     """ln(2) * (1 - h2((1-delta)/2)) for delta in [0, 1]; +inf beyond 1.
 
-    Computed as the equivalent divergence D((1+delta)/2 || 1/2), which is
+    The divergence exponent at gamma = 1, D((1+delta)/2 || 1/2), which is
     exact at both endpoints. Equals sum_{p>=1} delta^(2p) / (2p(2p-1)).
     """
-    if delta < 0.0:
-        if delta >= -BOUNDARY_CLAMP:
-            delta = 0.0
-        else:
-            raise ValueError("delta must be non-negative")
-    if delta > 1.0:
-        return math.inf
-    return binary_divergence((1.0 + delta) / 2.0, 0.5)
+    return divergence_exponent(1.0, _clamp(delta, "delta"))
 
 
 def big_b(u: float) -> float:
@@ -85,11 +85,7 @@ def big_b(u: float) -> float:
     A power series (B(u) = sum_k 2(-u)^k / ((k+1)(k+2))) is used near 0
     where the closed form loses precision to cancellation.
     """
-    if u < 0.0:
-        if u >= -BOUNDARY_CLAMP:
-            u = 0.0
-        else:
-            raise ValueError("u must be non-negative")
+    u = _clamp(u, "u")
     if u < 1e-3:
         total, term, k = 0.0, 2.0, 0
         while True:
@@ -209,3 +205,22 @@ def lambert_w0_exparg(a: float) -> float:
             return x
         x -= g * x / (x + 1.0)
     raise ConvergenceError(f"W0(e^a) iteration did not converge for a={a}")
+
+
+def newton_min(fn, lo: float = -math.inf, hi: float = math.inf, t: float = 0.0):
+    """Minimise f on [lo, hi] from t, where fn(t) returns (f, f', f'').
+
+    Each slope closes one side of the bracket at t. A Newton step that would
+    leave the bracket, or a non-positive f'', bisects it instead; an open
+    side stands at 2t -/+ 1 (t is the closed end), so t grows geometrically.
+    Returns (t, f(t)): a local minimum, or the bound f still falls towards.
+    """
+    while True:
+        f, df, d2f = fn(t)
+        lo, hi = (t, hi) if df < 0.0 else (lo, t)
+        step = -df / d2f if d2f > 0.0 else math.nan
+        if min(hi - lo, abs(step)) <= _NEWTON_TOL * max(1.0, abs(t)):
+            return t, f
+        a = lo if lo > -math.inf else 2.0 * t - 1.0
+        b = hi if hi < math.inf else 2.0 * t + 1.0
+        t = t + step if a < t + step < b else 0.5 * (a + b)

@@ -1,6 +1,7 @@
 """Martingale tail exponents: closed forms vs independent minimization oracles."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -71,6 +72,8 @@ class TestSpecTypes:
         assert spec.delta(1.0) == 0.5
         with pytest.raises(ValueError):
             spec.delta(-0.1)
+        with pytest.raises(ValueError, match="^alpha must be non-negative, got nan$"):
+            spec.delta(math.nan)
 
     def test_profile_validation(self):
         with pytest.raises(ValueError):
@@ -80,6 +83,15 @@ class TestSpecTypes:
         p = MomentProfile((0.5, 0.4, 0.3))
         assert p.m == 4
         assert p.gamma(2) == 0.5 and p.gamma_m == 0.3
+
+    @pytest.mark.parametrize(
+        "gammas", [(math.nan, 0.3, 0.2), (0.5, math.nan, 0.2), (0.5, 0.3, -0.2)]
+    )
+    def test_profile_rejects_nan_and_negative_ratios(self, gammas):
+        # a NaN ratio once gave thm4 0.0 flagged at_ceiling, and cor6 0.0
+        message = re.escape(f"moment ratios must be non-negative, got {gammas!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            MomentProfile(gammas)
 
     def test_exponent_value_range(self):
         with pytest.raises(ValueError):
@@ -220,6 +232,14 @@ class TestCor3Freedman:
             lhs = z * z / (2.0 * r) * big_b(z / r)
             rhs = n * cor3_exponent(spec_of(gamma), delta).exponent
             assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+@pytest.mark.parametrize("gamma", [0.25, 0.5, 1.0])
+@pytest.mark.parametrize("delta", [1e308, 1.7e308, math.inf])
+def test_cor3_and_chung_lu_overflow_to_inf(gamma, delta):
+    # inf - inf (cor3) and inf/inf (chung_lu) read as +inf, as on other routes
+    assert cor3_exponent(spec_of(gamma), delta).exponent == math.inf
+    assert chung_lu_exponent(gamma, delta).exponent == math.inf
 
 
 class TestThm3:
@@ -366,6 +386,22 @@ class TestThm4Cor4:
             want = float(d * x - mpmath.log(s(x)))
         got = thm4_exponent(MomentProfile(gammas), delta).exponent
         assert abs(got - want) <= 1e-11 * want  # pytest.approx would add abs=1e-12
+
+    def test_cor4_above_x_30_against_mpmath_sup(self):
+        # cor4 evaluates x > 30 through _log_mgf_bound's factored form
+        gamma, delta = 0.01, 1.0 - 1e-12
+        ev = cor4_exponent(gamma, delta)
+        assert ev.params["x"] > 30.0
+        assert ev.exponent == thm4_exponent(MomentProfile((gamma,)), delta).exponent
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(60):
+            g, d = mpmath.mpf(gamma), mpmath.mpf(delta)
+            x = mpmath.findroot(
+                lambda x: mpmath.expm1(x) * g - d * (1 + g * (mpmath.expm1(x) - x)),
+                ev.params["x"],
+            )
+            want = float(d * x - mpmath.log(1 + g * (mpmath.expm1(x) - x)))
+        assert abs(ev.exponent - want) <= 1e-14 * want
 
     @pytest.mark.parametrize("gammas", [(0.5,), (0.5, 5 / 12, 3 / 8)], ids=["m2", "m4"])
     @pytest.mark.parametrize("delta", [1e-6, 0.3])

@@ -116,6 +116,32 @@ class TestExponentsCommand:
         assert doc["columns"][0] == "gamma"
         assert len(doc["rows"]) == 3
 
+    def test_overflowing_delta_prints_inf_in_every_column(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "exponents", "--gamma", "0.5", "--grid", "1e308:1.7e308:2"
+        )
+        assert code == 0
+        header, rows = parse_csv(out)
+        assert [row[1] for row in rows] == ["1e+308", "1.7e+308"]
+        assert all(row[2:] == ["inf"] * (len(header) - 2) for row in rows)
+
+    @pytest.mark.parametrize(
+        "grid", ["0:inf:2", "nan:nan:1", "-inf:0:1", "-1.7e308:1.7e308:3"]
+    )
+    def test_non_finite_grid_is_config_error_naming_it(self, capsys, grid):
+        code, out, err = run_cli(capsys, "exponents", "--gamma", "0.5", f"--grid={grid}")
+        assert (code, out) == (2, "")
+        assert err == (
+            f"config error: bad grid spec {grid!r}: start, stop and step must be finite\n"
+        )
+
+    def test_nan_config_delta_names_its_value(self, capsys, tmp_path):
+        cfg = tmp_path / "grid.json"
+        cfg.write_text('{"gamma": [0.5], "delta": [0.5, NaN]}')
+        code, out, err = run_cli(capsys, "exponents", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err == "config error: alpha must be non-negative, got nan\n"
+
     def test_missing_gamma_is_config_error(self, capsys):
         code, _, err = run_cli(capsys, "exponents")
         assert code == 2

@@ -24,7 +24,6 @@ CASES = {
 # what `import tailforge` and the CLI's top level load for every subcommand
 CORE = {
     "tailforge",
-    "tailforge._optim",
     "tailforge.bounds",
     "tailforge.pmf",
     "tailforge.specfun",

@@ -64,6 +64,10 @@ ENTRY_POINTS = {
     "example3_comparison": (
         "k", 1, 20, lambda v: validate.example3_comparison(0.1, 1.0, 0.5, v)
     ),
+    "q_ary_channel": ("q", 2, 3, lambda v: codingapps.q_ary_channel(v, 0.1)),
+    "PairwiseBound.prob": (
+        "Hamming weight h", 0, 7, lambda v: codingapps.PairwiseBound(0.5).prob(v)
+    ),
 }
 
 

@@ -6,6 +6,7 @@ branches.
 """
 
 import math
+import re
 import sys
 
 import numpy as np
@@ -132,6 +133,41 @@ class TestFDelta:
     def test_beats_azuma_rate(self):
         for delta in np.linspace(0.01, 1.0, 100):
             assert f_delta(delta) > delta**2 / 2
+
+    def test_is_the_divergence_exponent_at_gamma_one(self):
+        # one code path: f(delta) is D((1+delta)/2 || 1/2) to the last bit
+        grid = [i / 1000 for i in range(1001)] + [5e-324, 1e-300, 1e-8, 1.0 - 1e-16]
+        for delta in grid:
+            want = binary_divergence((1.0 + delta) / 2.0, 0.5)
+            assert f_delta(delta).hex() == want.hex()
+            assert specfun.divergence_exponent(1.0, delta).hex() == want.hex()
+
+
+class TestDomainClamp:
+    """One rule on [0, hi]: BOUNDARY_CLAMP of slack snaps, anything else raises."""
+
+    @pytest.mark.parametrize(
+        "call,name,hi",
+        [
+            (f_delta, "delta", "inf"),
+            (big_b, "u", "inf"),
+            (lambda x: binary_divergence(x, 0.5), "p", "1"),
+            (lambda x: binary_divergence(0.5, x), "q", "1"),
+        ],
+        ids=["f_delta", "big_b", "divergence-p", "divergence-q"],
+    )
+    @pytest.mark.parametrize("x", [math.nan, -1e-11, -math.inf])
+    def test_outside_raises_naming_the_argument(self, call, name, hi, x):
+        message = re.escape(f"{name}={x!r} is outside [0, {hi}]")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call(x)
+
+    def test_slack_snaps_onto_the_nearer_end(self):
+        assert f_delta(-5e-13) == 0.0
+        assert big_b(-5e-13) == 1.0
+        assert binary_divergence(-5e-13, 0.5) == binary_divergence(0.0, 0.5)
+        assert binary_divergence(1.0 + 5e-13, 0.5) == binary_divergence(1.0, 0.5)
+        assert f_delta(1.0 + 5e-13) == math.inf  # f is +inf past 1, not clamped
 
 
 class TestBigB:
