@@ -12,6 +12,7 @@ Throughout, gamma = sigma^2/d^2 in (0, 1] and delta = alpha/d.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import sys
@@ -63,7 +64,7 @@ class MomentProfile:
 
     ``gammas`` is the sequence (gamma_2, ..., gamma_m); m = len + 1 must be
     even. Values above 1 are admitted (they arise under the weaker
-    one-sided moment conditions); negatives are not.
+    one-sided moment conditions); negatives and infinities are not.
     """
 
     gammas: Tuple[float, ...]
@@ -74,8 +75,10 @@ class MomentProfile:
             raise ValueError("profile needs at least gamma_2")
         if (len(gammas) + 1) % 2 != 0:
             raise ValueError("m = len(gammas) + 1 must be even")
-        if not all(g >= 0.0 for g in gammas):  # NaN fails
-            raise ValueError(f"moment ratios must be non-negative, got {gammas!r}")
+        if not all(0.0 <= g < math.inf for g in gammas):  # NaN fails
+            raise ValueError(
+                f"moment ratios must be finite and non-negative, got {gammas!r}"
+            )
         object.__setattr__(self, "gammas", gammas)
 
     @property
@@ -232,23 +235,52 @@ def thm3_exponent(spec: MartingaleSpec, alpha: float) -> ExponentValue:
     return ExponentValue(max(0.0, e), {"x": x})
 
 
-def _poly(profile: MomentProfile, x: float, j: int) -> float:
-    """The j-th derivative of sum_{2<=l<m} (gamma_l - gamma_m) x^l/l!, part of S."""
-    gm = profile.gamma_m
-    return sum(
-        (g - gm) * x ** (l - j) / math.factorial(l - j)
-        for l, g in enumerate(profile.gammas[:-1], 2)
-        if l >= j
+@functools.cache
+def _poly_plan(n: int, j0: int) -> tuple:
+    """The terms of P_j0, P_j0+1, P_j0+2 for n = m - 1 ratios: (l - 2, k = l - j, k!)."""
+    return tuple(
+        tuple((l - 2, l - j, math.factorial(l - j)) for l in range(max(2, j), n + 1))
+        for j in range(j0, j0 + 3)
     )
+
+
+def _poly_derivs(profile: MomentProfile, x: float, j0: int):
+    """The derivatives P_j0, P_j0+1 and P_j0+2 of P, the polynomial part of S.
+
+    P(x) = sum_{2<=l<m} (gamma_l - gamma_m) x^l/l!. The powers x**k are formed
+    once for all three. P_j adds its terms (gamma_l - gamma_m) * x**k / k!,
+    k = l - j, to int 0 in ascending l, so it is the direct sum's float; k! is
+    an exact int, so past k = 170 the division raises OverflowError. A P_j
+    with no terms (all three at m = 2) is int 0.
+    """
+    g = profile.gammas
+    if len(g) == 1:
+        return 0, 0, 0
+    gm = g[-1]
+    pw = [x**k for k in range(len(g) + 1 - j0)]
+    out = []
+    for terms in _poly_plan(len(g), j0):
+        total = 0
+        for i, k, f in terms:
+            total += (g[i] - gm) * pw[k] / f
+        out.append(total)
+    return out
 
 
 def _expm1_minus_x(x: float) -> float:
     """e^x - 1 - x by its series x^2/2! + ... + x^12/12!, for |x| < 0.1."""
-    term = total = 0.5 * x * x
-    for k in range(3, 13):
-        term *= x / k
-        total += term
-    return total
+    t2 = 0.5 * x * x
+    t3 = t2 * (x / 3)
+    t4 = t3 * (x / 4)
+    t5 = t4 * (x / 5)
+    t6 = t5 * (x / 6)
+    t7 = t6 * (x / 7)
+    t8 = t7 * (x / 8)
+    t9 = t8 * (x / 9)
+    t10 = t9 * (x / 10)
+    t11 = t10 * (x / 11)
+    t12 = t11 * (x / 12)
+    return t2 + t3 + t4 + t5 + t6 + t7 + t8 + t9 + t10 + t11 + t12
 
 
 def _log_mgf_bound(profile: MomentProfile, x: float, delta: float):
@@ -263,7 +295,7 @@ def _log_mgf_bound(profile: MomentProfile, x: float, delta: float):
     its sign when delta = 1.
     """
     gm = profile.gamma_m
-    p = [_poly(profile, x, j) for j in range(3)]
+    p = _poly_derivs(profile, x, 0)
     if x <= 30.0:
         em1 = math.expm1(x)
         u = p[0] + gm * (_expm1_minus_x(x) if x < 0.1 else em1 - x)  # S - 1
@@ -283,16 +315,18 @@ def _log_mgf_bound(profile: MomentProfile, x: float, delta: float):
 def _slope_cuts(profile: MomentProfile, delta: float, ceiling: float) -> list:
     """Points of (0, ceiling) between which S' - delta*S changes sign at most once.
 
-    For k >= 1, S^(k) = P_k + gamma_m e^x with P_k = _poly(k) (less gamma_m at
-    k = 1), so g_k = S^(k+1) - delta*S^(k) has derivative g_{k+1}. Between two
-    sign changes of g_{k+1}, g_k is monotone (Rolle), and ``newton_min`` finds
-    its one sign change: from g_{m-1}, which has at most one, down to g_1.
+    For k >= 1, S^(k) = P_k + gamma_m e^x with P_k from ``_poly_derivs`` (less
+    gamma_m at k = 1), so g_k = S^(k+1) - delta*S^(k) has derivative g_{k+1}.
+    Between two sign changes of g_{k+1}, g_k is monotone (Rolle), and
+    ``newton_min`` finds its one sign change: from g_{m-1}, which has at most
+    one, down to g_1.
     """
     gm = profile.gamma_m
 
     def g(k, x):  # g_k e^-x (g_k if gm = 0), finite at any x, and its slope
         e = 1.0 if gm == 0.0 else math.exp(-x) if x < 700.0 else 0.0
-        p = [_poly(profile, x, j) - (gm if j == 1 else 0.0) for j in range(k, k + 3)]
+        derivs = enumerate(_poly_derivs(profile, x, k), k)
+        p = [v - (gm if j == 1 else 0.0) for j, v in derivs]
         v = [(p[i + 1] - delta * p[i]) * e + gm * (1.0 - delta) for i in (0, 1)]
         return v[0], v[1] - (v[0] if gm > 0.0 else 0.0)
 
@@ -311,7 +345,7 @@ def _slope_cuts(profile: MomentProfile, delta: float, ceiling: float) -> list:
 def thm4_exponent(profile: MomentProfile, delta: float) -> ExponentValue:
     """Higher-moment exponent sup_{x>=0} {delta*x - ln S(x)}.
 
-    The m = 2, delta = 1 endpoint uses the closed form
+    The m = 2, delta = 1 endpoint with gamma > 0 uses the closed form
     1/gamma - ln(gamma(e^{1/gamma} - 1)). Otherwise ln S - delta*x is minimised
     globally on [0, max(50, 4/gamma_m, 10/(1-delta))]: by ``newton_min`` on each
     piece between ``_slope_cuts``, and at the ceiling. ``params['at_ceiling']``
@@ -324,7 +358,7 @@ def thm4_exponent(profile: MomentProfile, delta: float) -> ExponentValue:
         return ExponentValue(math.inf)
     if delta == 0.0:
         return ExponentValue(0.0)
-    if delta == 1.0 and profile.m == 2:
+    if delta == 1.0 and profile.m == 2 and profile.gamma2 > 0.0:
         return ExponentValue(_cor4_delta1(profile.gamma2))
     gm = profile.gamma_m
     ceiling = max(50.0, 4.0 / gm if gm > 0.0 else 0.0)
@@ -378,8 +412,15 @@ def cor4_exponent(gamma: float, delta: float) -> ExponentValue:
 
 
 def cor4_optimal_x(gamma: float, delta: float) -> float:
-    """The optimizing x of the m = 2 closed form, for delta in (0, 1)."""
+    """The optimizing x of the m = 2 closed form, for delta in (0, 1).
+
+    Raises OverflowError when a = 1/gamma + 1/delta - 1 passes the float range.
+    """
     a = 1.0 / gamma + 1.0 / delta - 1.0
+    if a == math.inf:
+        raise OverflowError(
+            f"cor4: 1/gamma + 1/delta overflows at gamma={gamma!r}, delta={delta!r}"
+        )
     log_w = math.log((1.0 - delta) / delta) + a
     return a - lambert_w0_exparg(log_w)
 

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tailforge import bounds
 from tailforge.bounds import (
@@ -85,11 +87,21 @@ class TestSpecTypes:
         assert p.gamma(2) == 0.5 and p.gamma_m == 0.3
 
     @pytest.mark.parametrize(
-        "gammas", [(math.nan, 0.3, 0.2), (0.5, math.nan, 0.2), (0.5, 0.3, -0.2)]
+        "gammas",
+        [
+            (math.nan, 0.3, 0.2),
+            (0.5, math.nan, 0.2),
+            (0.5, 0.3, -0.2),
+            (math.inf,),
+            (0.5, math.inf, 0.3),
+        ],
     )
     def test_profile_rejects_nan_and_negative_ratios(self, gammas):
-        # a NaN ratio once gave thm4 0.0 flagged at_ceiling, and cor6 0.0
-        message = re.escape(f"moment ratios must be non-negative, got {gammas!r}")
+        # a NaN ratio once gave thm4 0.0 flagged at_ceiling, and cor6 0.0; an
+        # infinite one gave 0.0 flagged at_ceiling, or a math domain error
+        message = re.escape(
+            f"moment ratios must be finite and non-negative, got {gammas!r}"
+        )
         with pytest.raises(ValueError, match=f"^{message}$"):
             MomentProfile(gammas)
 
@@ -300,6 +312,13 @@ class TestThm4Cor4:
         oracle = -math.log(grid_min_base_m((0.5,), 1.0, xs))
         assert want == pytest.approx(oracle, abs=1e-8)
 
+    def test_m2_delta_one_without_variance_takes_the_general_path(self):
+        # the closed form would take ln(gamma_2) = ln 0; with every ratio 0,
+        # S = 1 and ln S - x falls all the way to the ceiling at any m
+        ev = thm4_exponent(MomentProfile((0.0,)), 1.0)
+        assert ev == thm4_exponent(MomentProfile((0.0, 0.0, 0.0)), 1.0)
+        assert (ev.exponent, ev.params["at_ceiling"]) == (50.0, True)
+
     def test_interior_against_grid_oracle(self):
         xs = np.linspace(0.0, 40.0, 400001)
         for gamma, delta in [(0.25, 0.5), (0.6, 0.8), (0.05, 0.3)]:
@@ -412,6 +431,48 @@ class TestThm4Cor4:
         at = bounds._log_mgf_bound(profile, 0.1, delta)
         for lo, hi in zip(below, at):
             assert abs(lo - hi) <= 1e-15 * abs(hi)
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(
+        m=st.sampled_from(range(2, 13, 2)),
+        gammas=st.lists(
+            st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.floats(1.0, 3.0)),
+            min_size=11,
+            max_size=11,
+        ),
+        x=st.one_of(
+            st.sampled_from([0.0, 0.1, 30.0, math.nextafter(30.0, math.inf), 1e6]),
+            st.floats(0.0, 0.1, exclude_max=True),
+            st.floats(0.0, 1e6),
+        ),
+        j0=st.integers(0, 11),
+    )
+    def test_poly_derivs_equal_the_direct_sums_bit_for_bit(self, m, gammas, x, j0):
+        # each derivative is the sum of (gamma_l - gamma_m) x**(l-j)/(l-j)! over
+        # ascending l from int 0, exactly as a direct generator sum forms it
+        gammas, j0 = tuple(gammas[: m - 1]), j0 % m
+        gm = gammas[-1]
+        want = [
+            sum(
+                (g - gm) * x ** (l - j) / math.factorial(l - j)
+                for l, g in enumerate(gammas[:-1], 2)
+                if l >= j
+            )
+            for j in range(j0, j0 + 3)
+        ]
+        got = bounds._poly_derivs(MomentProfile(gammas), x, j0)
+        assert [type(v) for v in got] == [type(v) for v in want]
+        assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
+
+    def test_unrolled_series_equals_its_loop_bit_for_bit(self, rng):
+        # about 1 x in 200 tells t2 * (x / 3) from t2 * x / 3, so sweep densely
+        edge = math.nextafter(0.1, 0.0)
+        for x in [0.0, edge, -edge, *rng.uniform(-0.1, 0.1, 20000).tolist()]:
+            term = total = 0.5 * x * x
+            for k in range(3, 13):
+                term *= x / k
+                total += term
+            assert bounds._expm1_minus_x(x).hex() == total.hex()
 
     def test_nondecreasing_in_m_for_absolute_profiles(self):
         # absolute-moment profiles are nonincreasing in l, and the exponent

@@ -135,6 +135,17 @@ class TestExponentsCommand:
             f"config error: bad grid spec {grid!r}: start, stop and step must be finite\n"
         )
 
+    def test_cor4_overflowing_inverse_gamma_names_gamma_and_route(self, capsys):
+        # a = 1/gamma + 1/delta - 1 is inf: the message names gamma and cor4
+        code, out, err = run_cli(
+            capsys, "exponents", "--gamma", "1e-320", "--grid", "0:1:3"
+        )
+        assert (code, out) == (3, "")
+        assert err == (
+            "numerical failure: floating-point overflow: cor4: 1/gamma + 1/delta"
+            " overflows at gamma=1e-320, delta=0.5\n"
+        )
+
     def test_nan_config_delta_names_its_value(self, capsys, tmp_path):
         cfg = tmp_path / "grid.json"
         cfg.write_text('{"gamma": [0.5], "delta": [0.5, NaN]}')
