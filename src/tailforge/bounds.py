@@ -3,11 +3,11 @@
 Every operation returns the exponent E (nats per step) of a bound of the
 form P(X_n - X_0 >= alpha*n) <= e^(-n*E). ``tail_bound`` alone turns E into
 the probability min(1, c*e^(-n*E)), c = 2 two-sided, and ``exponent_or_inf``
-alone reads an E past the float range as +inf. Exponents are non-negative,
-0 at delta = 0, and +inf when the deviation exceeds the jump bound (delta > 1
-under two-sided conditions), where the probability is exactly zero.
+alone reads an E past the float range as +inf. Exponents are non-negative and
+0 at delta = 0. Past delta = 1 the probability is exactly zero, and every route
+but azuma, cor3 and chung_lu reads +inf: ``_delta_edge`` holds these rules.
 
-Throughout, gamma = sigma^2/d^2 in (0, 1] and delta = alpha/d.
+Throughout, gamma = sigma^2/d^2 in (0, 1] (``_unit_gamma``) and delta = alpha/d.
 """
 
 from __future__ import annotations
@@ -43,18 +43,14 @@ class MartingaleSpec:
     def __post_init__(self):
         if not self.d > 0.0:
             raise ValueError("jump bound d must be positive")
-        if not self.sigma2 > 0.0:
-            raise ValueError("variance bound sigma2 must be positive")
-        if self.sigma2 > self.d**2 * (1.0 + BOUNDARY_CLAMP):
-            raise ValueError("sigma2 must not exceed d^2")
+        _unit_gamma(self.sigma2 / self.d**2 if self.d**2 > 0.0 else math.inf)
 
     @property
     def gamma(self) -> float:
-        return min(1.0, self.sigma2 / self.d**2)
+        return _unit_gamma(self.sigma2 / self.d**2)
 
     def delta(self, alpha: float) -> float:
-        if not alpha >= 0.0:  # NaN fails
-            raise ValueError(f"alpha must be non-negative, got {alpha!r}")
+        _delta_edge(alpha, "alpha")
         return alpha / self.d
 
 
@@ -117,6 +113,24 @@ class ExponentValue:
             object.__setattr__(self, "exponent", 0.0)
 
 
+def _delta_edge(delta: float, name: str = "delta") -> ExponentValue | None:
+    """Every route's exponent at delta = 0 (0) and past 1 (+inf), else None."""
+    if not delta >= 0.0:  # NaN fails
+        raise ValueError(f"{name} must be non-negative, got {delta!r}")
+    if delta == 0.0:
+        return ExponentValue(0.0)
+    if delta > 1.0:
+        return ExponentValue(math.inf)
+    return None
+
+
+def _unit_gamma(gamma: float) -> float:
+    """gamma checked to lie in (0, 1]; within BOUNDARY_CLAMP above 1 it snaps to 1."""
+    if not 0.0 < gamma <= 1.0 + BOUNDARY_CLAMP:
+        raise ValueError("gamma must lie in (0, 1]")
+    return min(gamma, 1.0)
+
+
 def as_count(value, name: str, least: int = 1) -> int:
     """value as an int in [least, largest double]: a length, count or order.
 
@@ -177,8 +191,8 @@ def thm2_exponent(spec: MartingaleSpec, alpha: float) -> ExponentValue:
 def pinsker_loosened_exponent(spec: MartingaleSpec, alpha: float) -> ExponentValue:
     """Pinsker loosening 2*(delta/(1+gamma))^2 of the divergence exponent."""
     gamma, delta = spec.gamma, spec.delta(alpha)
-    if delta > 1.0:
-        return ExponentValue(math.inf)
+    if (edge := _delta_edge(delta)) is not None:
+        return edge
     return ExponentValue(2.0 * (delta / (1.0 + gamma)) ** 2)
 
 
@@ -188,10 +202,8 @@ def refined_pinsker_exponent(delta: float) -> ExponentValue:
     delta^2/2 + delta^4/36 + delta^6/270 + 221*delta^8/340220 for
     delta in [0, 1]; +inf beyond.
     """
-    if not delta >= 0.0:  # NaN fails
-        raise ValueError(f"delta must be non-negative, got {delta!r}")
-    if delta > 1.0:
-        return ExponentValue(math.inf)
+    if (edge := _delta_edge(delta)) is not None:
+        return edge
     d2 = delta * delta
     e = d2 / 2.0 + d2 * d2 / 36.0 + d2**3 / 270.0 + 221.0 * d2**4 / 340220.0
     return ExponentValue(e)
@@ -215,8 +227,8 @@ def thm3_exponent(spec: MartingaleSpec, alpha: float) -> ExponentValue:
     f(delta) (the closed form divides by 1-gamma).
     """
     gamma, delta = spec.gamma, spec.delta(alpha)
-    if delta > 1.0:
-        return ExponentValue(math.inf)
+    if (edge := _delta_edge(delta)) is not None:
+        return edge
     if delta == 1.0:
         return ExponentValue(math.log(4.0 / (1.0 + gamma)))
     if 1.0 - gamma <= 1e-9:
@@ -352,12 +364,8 @@ def thm4_exponent(profile: MomentProfile, delta: float) -> ExponentValue:
     flags a minimizer pinned at the ceiling (the infimum may then sit at
     x -> inf and the reported exponent is a valid lower bound of it).
     """
-    if not delta >= 0.0:  # NaN fails
-        raise ValueError(f"delta must be non-negative, got {delta!r}")
-    if delta > 1.0:
-        return ExponentValue(math.inf)
-    if delta == 0.0:
-        return ExponentValue(0.0)
+    if (edge := _delta_edge(delta)) is not None:
+        return edge
     if delta == 1.0 and profile.m == 2 and profile.gamma2 > 0.0:
         return ExponentValue(_cor4_delta1(profile.gamma2))
     gm = profile.gamma_m
@@ -392,15 +400,9 @@ def cor4_exponent(gamma: float, delta: float) -> ExponentValue:
     delta in (0,1): delta*x - ln(1 + gamma(e^x - 1 - x)) at
     x = 1/gamma + 1/delta - 1 - W0((1-delta)e^{1/gamma+1/delta-1}/delta).
     """
-    if not 0.0 < gamma <= 1.0 + BOUNDARY_CLAMP:
-        raise ValueError("gamma must lie in (0, 1]")
-    gamma = min(gamma, 1.0)
-    if not delta >= 0.0:  # NaN fails
-        raise ValueError(f"delta must be non-negative, got {delta!r}")
-    if delta > 1.0:
-        return ExponentValue(math.inf)
-    if delta == 0.0:
-        return ExponentValue(0.0)
+    gamma = _unit_gamma(gamma)
+    if (edge := _delta_edge(delta)) is not None:
+        return edge
     if delta == 1.0:
         return ExponentValue(_cor4_delta1(gamma))
     x = cor4_optimal_x(gamma, delta)
@@ -430,11 +432,12 @@ def cor6_suboptimal(profile: MomentProfile, delta: float):
 
     x = (a+b)/c - W0((b/c) e^{(a+b)/c}) with a = 1/gamma_2,
     b = (gamma_m/gamma_2)(1/delta - 1), c = 1/delta - b. Coincides with the
-    optimal x of the m = 2 closed form. Returns (x, ExponentValue); on the
-    degenerate c <= 0 the numeric minimizer is used and flagged.
+    optimal x of the m = 2 closed form. Returns (x, ExponentValue), x = 0 at
+    delta = 0 and past 1; on the degenerate c <= 0 the numeric minimizer is
+    used and flagged.
     """
-    if not 0.0 < delta <= 1.0:
-        raise ValueError("delta must lie in (0, 1]")
+    if (edge := _delta_edge(delta)) is not None:
+        return 0.0, edge
     g2, gm = profile.gamma2, profile.gamma_m
     if g2 <= 0.0:
         raise ValueError("gamma_2 must be positive")
@@ -456,10 +459,8 @@ def cor6_suboptimal(profile: MomentProfile, delta: float):
 
 def chung_lu_exponent(gamma: float, delta: float) -> ExponentValue:
     """Bernstein-style comparison exponent delta^2 / (2 gamma + 2 delta/3)."""
-    if not 0.0 < gamma <= 1.0 + BOUNDARY_CLAMP:
-        raise ValueError("gamma must lie in (0, 1]")
-    if not delta >= 0.0:  # NaN fails
-        raise ValueError(f"delta must be non-negative, got {delta!r}")
+    gamma = _unit_gamma(gamma)
+    _delta_edge(delta)  # finite past 1: only the check applies
     return exponent_or_inf(lambda: delta * delta / (2.0 * gamma + 2.0 * delta / 3.0))
 
 

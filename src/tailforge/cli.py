@@ -217,9 +217,7 @@ def _pair_from_args(args):
             if key not in cfg:
                 raise ConfigError(f"hypothesis config missing field {key!r}")
         try:
-            pair = HypothesisPair.from_probs(
-                cfg["p1"], cfg["p2"], tuple(cfg.get("priors", (0.5, 0.5)))
-            )
+            pair = HypothesisPair.from_probs(cfg["p1"], cfg["p2"])
             if "thresholds" in cfg:
                 t = cfg["thresholds"]
                 thresholds = Thresholds(

@@ -25,14 +25,13 @@ _EDGE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class HypothesisPair:
-    """A pair of strictly positive pmfs on one alphabet, with priors.
+    """A pair of strictly positive pmfs on one alphabet.
 
     ``mart12`` is the log-LR martingale of P1 against P2, ``mart21`` the reverse.
     """
 
     p1: FinitePmf
     p2: FinitePmf
-    priors: tuple[float, float] = (0.5, 0.5)
     mart12: LlrMartingale = field(init=False, repr=False, compare=False)
     mart21: LlrMartingale = field(init=False, repr=False, compare=False)
 
@@ -40,18 +39,13 @@ class HypothesisPair:
         self.p1.require_same_alphabet(self.p2)
         if not (self.p1.strictly_positive and self.p2.strictly_positive):
             raise ValueError("both pmfs must be strictly positive")
-        pi1, pi2 = self.priors
-        if not (0.0 < pi1 < 1.0 and 0.0 < pi2 < 1.0):
-            raise ValueError("priors must lie in (0, 1)")
-        if abs(pi1 + pi2 - 1.0) > 1e-9:
-            raise ValueError("priors must sum to 1")
         object.__setattr__(self, "mart12", LlrMartingale.of(self.p1, self.p2))
         object.__setattr__(self, "mart21", LlrMartingale.of(self.p2, self.p1))
 
     @classmethod
-    def from_probs(cls, p1, p2, priors=(0.5, 0.5)) -> "HypothesisPair":
+    def from_probs(cls, p1, p2) -> "HypothesisPair":
         symbols = tuple(range(len(p1)))
-        return cls(FinitePmf(symbols, tuple(p1)), FinitePmf(symbols, tuple(p2)), priors)
+        return cls(FinitePmf(symbols, tuple(p1)), FinitePmf(symbols, tuple(p2)))
 
     @property
     def d12(self) -> float:

@@ -77,6 +77,11 @@ class LlrMartingale:
     def of(cls, p: FinitePmf, q: FinitePmf) -> "LlrMartingale":
         probs = p.as_array()
         llr = np.log(probs / q.as_array())
+        # where |P - Q| <= min(P, Q)/2, P - Q is exact (Sterbenz): there llr is
+        # ±log1p(|P - Q|/min(P, Q)), odd in (P, Q), not ln of a rounded P/Q
+        for i, (a, b) in enumerate(zip(p.probs, q.probs)):
+            if abs(a - b) <= min(a, b) / 2.0:
+                llr[i] = math.copysign(math.log1p(abs(a - b) / min(a, b)), a - b)
         llr.flags.writeable = False
         div = float(np.dot(probs, llr))
         return cls(probs, llr, div, float(np.max(np.abs(llr - div))))

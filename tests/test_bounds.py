@@ -63,10 +63,36 @@ def grid_min_parabola_base(gamma, delta, xs):
 
 class TestSpecTypes:
     def test_variance_cap_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape("gamma must lie in (0, 1]")):
             MartingaleSpec(d=1.0, sigma2=1.5)
         with pytest.raises(ValueError):
             MartingaleSpec(d=0.0, sigma2=0.5)
+
+    @pytest.mark.parametrize(
+        "d,sigma2", [(math.inf, 1.0), (1.0, 0.0), (1.0, -0.5), (1e-200, 1e-320)]
+    )
+    def test_gamma_outside_the_unit_interval_rejected(self, d, sigma2):
+        # an infinite d once gave gamma = 0.0, and cor3 a ZeroDivisionError;
+        # below d = 1.5e-162, d^2 underflows to 0 and any sigma2 > 0 exceeds it
+        with pytest.raises(ValueError, match=re.escape("gamma must lie in (0, 1]")):
+            MartingaleSpec(d=d, sigma2=sigma2)
+
+    @pytest.mark.parametrize(
+        "route",
+        [
+            cor4_exponent,
+            chung_lu_exponent,
+            lambda g, d: thm3_exponent(spec_of(g), d),
+        ],
+        ids=["cor4", "chung_lu", "spec"],
+    )
+    def test_gamma_snaps_onto_one_only_within_the_clamp(self, route):
+        for excess in (1e-13, 1e-12):
+            for delta in (0.25, 0.5, 1.0, 2.0):
+                got, want = route(1.0 + excess, delta), route(1.0, delta)
+                assert got.exponent.hex() == want.exponent.hex()
+        with pytest.raises(ValueError, match=re.escape("gamma must lie in (0, 1]")):
+            route(1.0 + 2e-12, 0.5)
 
     def test_delta(self):
         spec = MartingaleSpec(d=2.0, sigma2=1.0)
@@ -121,13 +147,68 @@ class TestSpecTypes:
             lambda d: thm4_exponent(MomentProfile((0.5, 0.4, 0.35)), d),
             lambda d: cor4_exponent(0.5, d),
             lambda d: chung_lu_exponent(0.5, d),
+            lambda d: cor6_suboptimal(MomentProfile((0.5, 0.4, 0.35)), d),
         ],
-        ids=["refined_pinsker", "thm4", "cor4", "chung_lu"],
+        ids=["refined_pinsker", "thm4", "cor4", "chung_lu", "cor6"],
     )
     def test_gamma_delta_routes_reject_nan_and_negative_delta(self, route, delta):
         message = f"^delta must be non-negative, got {delta!r}$"
         with pytest.raises(ValueError, match=message):
             route(delta)
+
+
+# every `exponents` column route, as (gamma, delta) -> exponent
+EXPONENTS_ROUTES = {
+    "azuma": lambda g, d: azuma_exponent(spec_of(g), d).exponent,
+    "cor2_f": lambda g, d: f_delta(d),
+    "thm2": lambda g, d: thm2_exponent(spec_of(g), d).exponent,
+    "thm3": lambda g, d: thm3_exponent(spec_of(g), d).exponent,
+    "cor4": lambda g, d: cor4_exponent(g, d).exponent,
+    "pinsker": lambda g, d: pinsker_loosened_exponent(spec_of(g), d).exponent,
+    "refined_pinsker": lambda g, d: refined_pinsker_exponent(d).exponent,
+    "cor3": lambda g, d: cor3_exponent(spec_of(g), d).exponent,
+    "chung_lu": lambda g, d: chung_lu_exponent(g, d).exponent,
+}
+UNBOUNDED_PAST_ONE = ("azuma", "cor3", "chung_lu")  # not bounded-jump routes
+
+unit_gammas = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+profiles = st.builds(
+    lambda g2, rest: MomentProfile((g2, *rest)),
+    unit_gammas,
+    st.sampled_from([0, 2, 4]).flatmap(
+        lambda k: st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k)
+    ),
+)
+
+
+class TestDomainEdges:
+    """Every route agrees at the edges of delta's domain, for any gamma in (0, 1]."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        gamma=unit_gammas,
+        profile=profiles,
+        past=st.floats(min_value=1.0, max_value=1e300, exclude_min=True),
+    )
+    def test_zero_at_zero_and_inf_past_one(self, gamma, profile, past):
+        routes = {
+            **EXPONENTS_ROUTES,
+            "thm4": lambda g, d: thm4_exponent(profile, d).exponent,
+            "cor6": lambda g, d: cor6_suboptimal(profile, d)[1].exponent,
+        }
+        for name, route in routes.items():
+            assert route(gamma, 0.0) == 0.0, name
+            if name not in UNBOUNDED_PAST_ONE:
+                assert route(gamma, past) == math.inf, name
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        gamma=st.floats(min_value=1e-100, max_value=1.0),
+        past=st.floats(min_value=1.0, max_value=1e100, exclude_min=True),
+    )
+    def test_unbounded_routes_stay_finite_past_one(self, gamma, past):
+        for name in UNBOUNDED_PAST_ONE:
+            assert 0.0 < EXPONENTS_ROUTES[name](gamma, past) < math.inf, name
 
 
 class TestAzuma:

@@ -161,7 +161,7 @@ class TestExponentsCommand:
     def test_gamma_out_of_range_is_config_error(self, capsys):
         code, _, err = run_cli(capsys, "exponents", "--gamma", "1.5")
         assert code == 2
-        assert "config error" in err
+        assert err == "config error: gamma must lie in (0, 1]\n"
 
     def test_unwritable_out_is_config_error(self, capsys, tmp_path):
         target = tmp_path / "missing" / "x.csv"
@@ -251,6 +251,34 @@ class TestPairwiseCommand:
         cfg.write_text("{broken")
         code, _, err = run_cli(capsys, "pairwise", "--config", str(cfg))
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("--qary", "2", "0.5", "--tilde"), ("--qary", "4", "0.25", "--m", "2,4", "--tilde")],
+        ids=["bsc", "qary4"],
+    )
+    def test_identical_rows_print_one_with_tilde(self, capsys, argv):
+        # identical rows give d = 0 and delta = 0, where cor6 once raised
+        code, out, err = run_cli(capsys, "pairwise", *argv)
+        assert (code, err) == (0, "")
+        header, rows = parse_csv(out)
+        for row in rows:
+            cells = dict(zip(header, row))
+            for col in header[1:]:
+                assert cells[col] == "1"
+                if col.startswith("z2tilde_"):
+                    assert cells[col] == cells[col.replace("z2tilde_", "z2_")]
+
+    def test_rows_one_ulp_apart_print_one(self, capsys):
+        # ln of the rounded ratio P/Q once gave D/d = 0.2 here and z1 0.96624,
+        # whose power at h = 100 is 0.032 against an exact pairwise error of 0.5
+        code, out, err = run_cli(
+            capsys, "pairwise", "--qary", "3", "0.3333333333333333", "--m", "2,4",
+            "--tilde",
+        )
+        assert (code, err) == (0, "")
+        header, rows = parse_csv(out)
+        assert rows[0][1:] == ["1"] * (len(header) - 1)
 
     @pytest.mark.parametrize(
         "argv",

@@ -29,7 +29,7 @@ from tailforge.codingapps import (
     z2m_tilde,
 )
 from tailforge.hyptest import HypothesisPair, martingale_params
-from tailforge.pmf import FinitePmf
+from tailforge.pmf import FinitePmf, LlrMartingale
 from tailforge.specfun import f_delta
 
 TABLE_CHANNELS = [q_ary_channel(q, 0.04) for q in (2, 3, 4, 5, 10)]
@@ -158,6 +158,16 @@ class TestMomentProfile:
             profile, _ = channel_moment_profile(ch, 10)
             for l in (3, 5, 7, 9):
                 assert profile.gamma(l) > 0.0
+
+    def test_llr_of_rows_one_ulp_apart_is_antisymmetric(self):
+        # ln of the rounded ratio once gave (2.2e-16, 0, -1.1e-16) and D/d = 0.2
+        ch = q_ary_channel(3, 0.3333333333333333)
+        llr = LlrMartingale.of(ch.p0, ch.p1).llr
+        assert llr[0] == -llr[2] == pytest.approx(1 / 6 * 2**-50, rel=1e-15)
+        assert llr[1] == 0.0
+        assert list(LlrMartingale.of(ch.p1, ch.p0).llr) == list(-llr)
+        _, delta = channel_moment_profile(ch, 2)
+        assert delta < 1e-16
 
     def test_odd_m_rejected(self):
         with pytest.raises(ValueError):

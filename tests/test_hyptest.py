@@ -51,10 +51,6 @@ class TestPairValidation:
         with pytest.raises(ValueError):
             HypothesisPair.from_probs((1.0, 0.0), (0.5, 0.5))
 
-    def test_priors(self):
-        with pytest.raises(ValueError):
-            HypothesisPair.from_probs((0.4, 0.6), (0.6, 0.4), priors=(0.7, 0.5))
-
     def test_threshold_interval(self):
         t = Thresholds(lambda_bar=0.2, lambda_under=-0.2)
         with pytest.raises(ValueError):

@@ -1,7 +1,8 @@
 """Every name a tailforge module imports or keeps private is used in that module,
 every dataclass field it declares is read somewhere in the repository, the
 sites that form a tail exponent leave its probability to ``bounds.tail_bound``,
-and only ``bounds.as_count`` decides what counts as an integer."""
+only ``bounds.as_count`` decides what counts as an integer, and only the domain
+helpers of ``bounds`` hold the delta and gamma rules."""
 
 import ast
 import fnmatch
@@ -187,6 +188,90 @@ def test_integer_rule_lives_in_as_count():
         ]
     assert sites == ["bounds.py:as_count"]
     assert importers == ["bounds.py"]
+
+
+# the one home of each route-domain rule in bounds.py
+DOMAIN_HELPERS = ("_delta_edge", "_unit_gamma")
+# (comparison, constant) pairs of delta's edge rules, read as "delta <op> c";
+# delta == 1.0 (the closed forms) and delta < 1.0 are not among them
+DELTA_EDGES = {(ast.Gt, 1.0), (ast.LtE, 1.0), (ast.Eq, 0.0), (ast.Gt, 0.0)}
+FLIPPED = {ast.Gt: ast.Lt, ast.Lt: ast.Gt, ast.GtE: ast.LtE, ast.LtE: ast.GtE}
+
+
+def _is_delta_edge(node: ast.Compare) -> bool:
+    operands = [node.left, *node.comparators]
+    for a, op, b in zip(operands, node.ops, operands[1:]):
+        if isinstance(b, ast.Name) and b.id == "delta":
+            a, op, b = b, FLIPPED.get(type(op), type(op))(), a
+        if (
+            isinstance(a, ast.Name)
+            and a.id == "delta"
+            and isinstance(b, ast.Constant)
+            and (type(op), b.value) in DELTA_EDGES
+        ):
+            return True
+    return False
+
+
+def domain_rule_sites(source: str) -> list[str]:
+    """Lines outside DOMAIN_HELPERS that hold a delta or gamma domain rule.
+
+    A rule is a ``not <x> >= 0.0`` check, a comparison of ``delta`` with an
+    edge (> 1.0, <= 1.0, == 0.0, > 0.0, either way round) or a read of
+    ``BOUNDARY_CLAMP``; each is reported as "<function>:<line> <source>".
+    """
+    sites = []
+
+    def visit(node, where):
+        if isinstance(node, ast.FunctionDef):
+            if node.name in DOMAIN_HELPERS:
+                return
+            where = node.name
+        rule = (
+            isinstance(node, ast.UnaryOp)
+            and isinstance(node.op, ast.Not)
+            and isinstance(node.operand, ast.Compare)
+            and [type(o) for o in node.operand.ops] == [ast.GtE]
+            and ast.unparse(node.operand.comparators[0]) == "0.0"
+            or isinstance(node, ast.Compare)
+            and _is_delta_edge(node)
+            or isinstance(node, ast.Name)
+            and node.id == "BOUNDARY_CLAMP"
+        )
+        if rule:
+            sites.append(f"{where}:{node.lineno} {ast.unparse(node)}")
+            return
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return sites
+
+
+def test_checker_flags_domain_rules_outside_the_helpers():
+    source = (
+        "def _delta_edge(delta):\n"
+        "    if not delta >= 0.0 or delta > 1.0:\n"
+        "        return BOUNDARY_CLAMP\n"
+        "def route(gamma, delta):\n"
+        "    if not 0.0 < delta <= 1.0 or 1.0 < delta or delta == 1.0:\n"
+        "        return min(gamma, 1.0 + BOUNDARY_CLAMP)\n"
+        "    return not gamma >= 0.0, delta < 1.0\n"
+    )
+    assert domain_rule_sites(source) == [
+        "route:5 0.0 < delta <= 1.0",
+        "route:5 1.0 < delta",
+        "route:6 BOUNDARY_CLAMP",
+        "route:7 not gamma >= 0.0",
+    ]
+
+
+def test_domain_rules_live_in_the_bounds_helpers():
+    source = (SRC / "bounds.py").read_text(encoding="utf-8")
+    tree = ast.parse(source)
+    helpers = [n.name for n in tree.body if isinstance(n, ast.FunctionDef)]
+    assert set(DOMAIN_HELPERS) <= set(helpers)
+    assert domain_rule_sites(source) == []
 
 
 def test_checker_flags_an_unread_field():
