@@ -330,10 +330,15 @@ def _slope_cuts(profile: MomentProfile, delta: float, ceiling: float) -> list:
     For k >= 1, S^(k) = P_k + gamma_m e^x with P_k from ``_poly_derivs`` (less
     gamma_m at k = 1), so g_k = S^(k+1) - delta*S^(k) has derivative g_{k+1}.
     Between two sign changes of g_{k+1}, g_k is monotone (Rolle), and
-    ``newton_min`` finds its one sign change: from g_{m-1}, which has at most
-    one, down to g_1.
+    ``newton_min`` finds its one sign change: from g_top, which has at most
+    one, down to g_1. g_k's Taylor coefficients a_j (j >= k) are gamma_2 at
+    j = 1, gamma_{j+1} - delta*gamma_j for 2 <= j < m and gamma_m(1 - delta)
+    past it, so a level with no a_j < 0 is >= 0 on [0, inf) and has no cut:
+    top is the last j with a_j < 0, or 0 (no cascade). Its float test holds at
+    every such j, as rounding is monotone.
     """
-    gm = profile.gamma_m
+    gm, gs = profile.gamma_m, profile.gammas
+    neg = [j for j, (u, v) in enumerate(zip(gs, gs[1:]), 2) if 0.0 < u and v <= delta * u]
 
     def g(k, x):  # g_k e^-x (g_k if gm = 0), finite at any x, and its slope
         e = 1.0 if gm == 0.0 else math.exp(-x) if x < 700.0 else 0.0
@@ -343,7 +348,7 @@ def _slope_cuts(profile: MomentProfile, delta: float, ceiling: float) -> list:
         return v[0], v[1] - (v[0] if gm > 0.0 else 0.0)
 
     cuts = []
-    for k in range(profile.m - 1, 0, -1):
+    for k in range(max(neg, default=0), 0, -1):
         pts, cuts = [0.0, *cuts, ceiling], []
         ends = [g(k, x)[0] for x in pts]
         for a, b, ga, gb in zip(pts, pts[1:], ends, ends[1:]):
@@ -360,7 +365,10 @@ def thm4_exponent(profile: MomentProfile, delta: float) -> ExponentValue:
     The m = 2, delta = 1 endpoint with gamma > 0 uses the closed form
     1/gamma - ln(gamma(e^{1/gamma} - 1)). Otherwise ln S - delta*x is minimised
     globally on [0, max(50, 4/gamma_m, 10/(1-delta))]: by ``newton_min`` on each
-    piece between ``_slope_cuts``, and at the ceiling. ``params['at_ceiling']``
+    piece between ``_slope_cuts``, and at the ceiling. A cut-finding level whose
+    Taylor coefficients gamma_{j+1} - delta*gamma_j are all >= 0 is >= 0 on
+    [0, inf), so has no sign change and is skipped; with none negative, one
+    ``newton_min`` runs on [0, ceiling]. ``params['at_ceiling']``
     flags a minimizer pinned at the ceiling (the infimum may then sit at
     x -> inf and the reported exponent is a valid lower bound of it).
     """

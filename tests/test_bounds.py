@@ -1,12 +1,14 @@
 """Martingale tail exponents: closed forms vs independent minimization oracles."""
 
+import json
 import math
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tailforge import bounds
@@ -47,6 +49,20 @@ def grid_min_base_m(gammas, delta, xs):
             s += (gammas[l - 2] - gm) * x**l / math.factorial(l)
         best = min(best, math.exp(-delta * x) * s)
     return best
+
+
+def cascade_start(gammas, delta):
+    """The last j in 2..m-1 with gamma_{j+1} - delta*gamma_j < 0 exactly, else 0.
+
+    These are the Taylor coefficients of S^(k+1) - delta*S^(k) past its first
+    (gamma_2), so thm4's Rolle cascade can cut only at levels k <= this j.
+    """
+    d = Fraction(delta)
+    pairs = enumerate(zip(gammas, gammas[1:]), 2)
+    return max((j for j, (u, v) in pairs if Fraction(v) < d * Fraction(u)), default=0)
+
+
+THM4_BITS = json.loads((Path(__file__).parent / "data" / "thm4_bits.json").read_text())
 
 
 def grid_min_parabola_base(gamma, delta, xs):
@@ -586,6 +602,91 @@ class TestThm4Cor4:
                 for m in (2, 4, 6, 8, 10)
             ]
             assert all(b >= a - 1e-10 for a, b in zip(es, es[1:]))
+
+    @pytest.mark.parametrize(
+        "gammas,delta,levels",
+        [
+            ((0.5, 5 / 12, 3 / 8), 0.3, []),
+            ((0.5,), 1e-12, []),
+            ((0.5,), 0.3, []),
+            ((0.5,), 1.0 - 1e-9, []),
+            ((0.5027, 0.2657, 0.1438, 0.1091, 0.0547), 0.7384, [5, 4, 3, 2, 1]),
+            ((0.9, 0.3, 0.3, 0.3, 0.3, 0.3, 0.3), 0.5, [2, 1]),
+        ],
+        ids=["m4-none", "m2-tiny", "m2-mid", "m2-near1", "m6-from5", "m8-from2"],
+    )
+    def test_cascade_starts_at_the_last_negative_coefficient(
+        self, monkeypatch, gammas, delta, levels
+    ):
+        # the cascade evaluates g_k through _poly_derivs(profile, x, k >= 1);
+        # levels whose coefficients are all >= 0 have no cut and are not run
+        seen, poly_derivs = [], bounds._poly_derivs
+
+        def counted(profile, x, j0):
+            if j0 >= 1:
+                seen.append(j0)
+            return poly_derivs(profile, x, j0)
+
+        monkeypatch.setattr(bounds, "_poly_derivs", counted)
+        thm4_exponent(MomentProfile(gammas), delta)
+        assert list(dict.fromkeys(seen)) == levels
+        assert cascade_start(gammas, delta) == max(levels, default=0)
+
+    def test_pinned_bits(self):
+        # bits recorded before the cascade skipped its cut-free levels; the
+        # table spans m = 2..12 with no, partial and full cascades
+        def hexed(ev):
+            params = {k: v if isinstance(v, bool) else v.hex() for k, v in ev.params.items()}
+            return {"exponent": ev.exponent.hex(), "params": params}
+
+        kinds, wrong = set(), []
+        for row in THM4_BITS["rows"]:
+            gammas = tuple(float.fromhex(v) for v in row["gammas"])
+            delta, profile = float.fromhex(row["delta"]), MomentProfile(gammas)
+            start = cascade_start(gammas, delta)
+            kinds.add("none" if start == 0 else "full" if start == len(gammas) else "partial")
+            got = {"thm4": hexed(thm4_exponent(profile, delta))}
+            if gammas[0] > 0.0:
+                x, ev = cor6_suboptimal(profile, delta)
+                got["cor6"] = {**hexed(ev), "x": x.hex()}
+            if got != {k: row[k] for k in ("thm4", "cor6") if k in row}:
+                wrong.append((row["gammas"], row["delta"], got))
+        assert wrong == []
+        assert kinds == {"none", "partial", "full"}
+        assert {len(r["gammas"]) + 1 for r in THM4_BITS["rows"]} == set(range(2, 13, 2))
+
+    @pytest.mark.parametrize("cascade", [False, True], ids=["skipped", "runs"])
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        m=st.sampled_from(range(2, 13, 2)),
+        gammas=st.lists(  # subnormal ratios: see the xfail test below
+            st.one_of(
+                st.just(0.0),
+                st.floats(0.0, 1.0, allow_subnormal=False),
+                st.floats(0.0, 3.0, allow_subnormal=False),
+            ),
+            min_size=11,
+            max_size=11,
+        ),
+        delta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    )
+    def test_never_below_the_grid_oracle(self, cascade, m, gammas, delta):
+        # skipping the cut-free levels never loses the global sup
+        gammas = tuple(gammas[: m - 1])
+        assume((cascade_start(gammas, delta) > 0) == cascade)
+        xs = [*np.geomspace(1e-9, 1.0, 200), *np.linspace(0.0, 30.0, 1201)]
+        oracle = -math.log(grid_min_base_m(gammas, delta, xs))
+        assert thm4_exponent(MomentProfile(gammas), delta).exponent >= oracle - 1e-12
+
+    @pytest.mark.xfail(strict=True, reason="a subnormal gamma_m overflows r e^-x / gamma_m")
+    def test_subnormal_gamma_m_keeps_the_sup(self):
+        # past x = 30, _log_mgf_bound forms log1p(r e^-x / gamma_m), which is
+        # inf when gamma_m is subnormal, and its factored form drops r e^-x
+        # from x = 700 on; here thm4 reports 0 at x = 5e5
+        gammas = (0.0,) * 7 + (1.0, 5e-324)
+        xs = np.linspace(0.0, 30.0, 301)
+        oracle = -math.log(grid_min_base_m(gammas, 0.5, xs))
+        assert thm4_exponent(MomentProfile(gammas), 0.5).exponent >= oracle - 1e-12
 
 
 class TestCor6:
