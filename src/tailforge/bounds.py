@@ -295,6 +295,28 @@ def _expm1_minus_x(x: float) -> float:
     return t2 + t3 + t4 + t5 + t6 + t7 + t8 + t9 + t10 + t11 + t12
 
 
+def _factored(gm: float, x: float, r: float) -> tuple[float | None, float, float]:
+    """(lk, a, e): gm*e^x + r is e^lk (1 + r*e/a), or a + r*e where lk is None.
+
+    Callers form a + r*e and its kin: S times a*e^-lk, or S itself. Mostly that
+    factor is e^-x: a = gm, e = e^-x (0 from x = 700 on) and lk = x + ln gm,
+    which no x can overflow. That form loses r when gm is tiny, so with lq =
+    ln(|r| e^-x / gm), S stands as it is (a = gm*e^x, e = 1) at gm = 0 and where
+    lq > 700, as r*e^-x/gm nears overflow; and the factor is e^-x/gm (a = 1,
+    e = e^-x/gm) where gm is subnormal, or past x = 700 where r*e^-x reaches
+    gm*e^-60, unless gm*e^x < e^-700. Elsewhere the first form keeps its bits.
+    """
+    if gm == 0.0:
+        return None, 0.0, 1.0
+    lg = math.log(gm)
+    lq = math.log(abs(r)) - x - lg if r else -math.inf
+    if lq > 700.0:
+        return None, math.exp(x + lg), 1.0
+    if (gm < sys.float_info.min or x >= 700.0 and lq > -60.0) and x + lg > -700.0:
+        return x + lg, 1.0, math.exp(-x - lg)
+    return x + lg, gm, math.exp(-x) if x < 700.0 else 0.0
+
+
 def _log_mgf_bound(profile: MomentProfile, x: float, delta: float):
     """f(x) = ln S(x) - delta*x and its first two derivatives, from one pass.
 
@@ -302,7 +324,8 @@ def _log_mgf_bound(profile: MomentProfile, x: float, delta: float):
     a conditional MGF; S >= 1 on x >= 0 as every gamma_l >= 0. For x <= 30,
     ln S = log1p(S - 1) keeps small x's digits, as does e^x - 1 - x's series
     below x = 0.1, where expm1(x) - x keeps only about 2eps/x. Above x = 30,
-    S = gamma_m e^x + r is factored so huge x never overflows, and the slope
+    S = gamma_m e^x + r is split by ``_factored`` so huge x never overflows
+    and a tiny gamma_m loses no term, and the slope
     (S' - delta*S)/S has its gamma_m e^x terms cancelled by hand, so it keeps
     its sign when delta = 1.
     """
@@ -314,12 +337,11 @@ def _log_mgf_bound(profile: MomentProfile, x: float, delta: float):
         s, log_s = 1.0 + u, math.log1p(u)
         ds, s2 = p[1] + gm * em1 - delta * s, p[2] + gm * (em1 + 1.0)
     else:
-        # S, S' - delta*S and S'' carry a factor e^-x here, unless gm = 0
         r = 1.0 + p[0] - gm * (1.0 + x)
-        e = 1.0 if gm == 0.0 else math.exp(-x) if x < 700.0 else 0.0
-        s = gm + r * e
-        log_s = math.log(r) if gm == 0.0 else x + math.log(gm) + math.log1p(r * e / gm)
-        ds, s2 = gm * (1.0 - delta) + (p[1] - gm - delta * r) * e, gm + p[2] * e
+        lk, a, e = _factored(gm, x, r)  # s, ds and s2 carry a factor a*e^-lk
+        s = a + r * e
+        log_s = math.log(s) if lk is None else lk + math.log1p(r * e / a)
+        ds, s2 = a * (1.0 - delta) + (p[1] - gm - delta * r) * e, a + p[2] * e
     slope = ds / s
     return log_s - delta * x, slope, s2 / s - (slope + delta) ** 2
 
@@ -339,16 +361,19 @@ def _slope_cuts(profile: MomentProfile, delta: float, ceiling: float) -> list:
     """
     gm, gs = profile.gamma_m, profile.gammas
     neg = [j for j, (u, v) in enumerate(zip(gs, gs[1:]), 2) if 0.0 < u and v <= delta * u]
+    if not neg:
+        return []
 
-    def g(k, x):  # g_k e^-x (g_k if gm = 0), finite at any x, and its slope
-        e = 1.0 if gm == 0.0 else math.exp(-x) if x < 700.0 else 0.0
+    def g(k, x):  # g_k over the factor ``_factored`` takes out, and its slope
         derivs = enumerate(_poly_derivs(profile, x, k), k)
         p = [v - (gm if j == 1 else 0.0) for j, v in derivs]
-        v = [(p[i + 1] - delta * p[i]) * e + gm * (1.0 - delta) for i in (0, 1)]
-        return v[0], v[1] - (v[0] if gm > 0.0 else 0.0)
+        d = [p[i + 1] - delta * p[i] for i in (0, 1)]
+        lk, a, e = _factored(gm, x, max(d, key=abs))
+        v = [di * e + a * (1.0 - delta) for di in d]
+        return v[0], v[1] - (0.0 if lk is None else v[0])
 
     cuts = []
-    for k in range(max(neg, default=0), 0, -1):
+    for k in range(max(neg), 0, -1):
         pts, cuts = [0.0, *cuts, ceiling], []
         ends = [g(k, x)[0] for x in pts]
         for a, b, ga, gb in zip(pts, pts[1:], ends, ends[1:]):
@@ -384,12 +409,14 @@ def thm4_exponent(profile: MomentProfile, delta: float) -> ExponentValue:
         return _log_mgf_bound(profile, x, delta)
 
     pts = [0.0, *_slope_cuts(profile, delta, ceiling), ceiling]
-    fs = [f(x) for x in pts]
+    fs = [f(x) for x in pts[1:]]
+    slopes = [-delta, *(fb[1] for fb in fs)]  # f'(0) = -delta: S(0) = 1, S'(0) = 0
     x, fmin, g2 = ceiling, fs[-1][0], profile.gamma2
-    for a, b, fa, fb in zip(pts, pts[1:], fs, fs[1:]):
-        if fa[1] < 0.0 <= fb[1]:  # f falls from a and rises into b: a minimum
-            # Newton's first step from 0, delta/gamma_2, can lie below its stop
-            t = min(b, delta / g2) if a == 0.0 and g2 > 0.0 else a
+    for a, b, da, db in zip(pts, pts[1:], slopes, slopes[1:]):
+        if da < 0.0 <= db:  # f falls from a and rises into b: a minimum
+            # Newton's first step from 0 is delta/gamma_2, which can lie below its
+            # stop; at gamma_2 = 0, f''(0) = 0 and it bisects to b/2
+            t = a if a > 0.0 else min(b, delta / g2) if g2 > 0.0 else 0.5 * b
             x, fmin = min((x, fmin), newton_min(f, a, b, t), key=lambda c: c[1])
     hit = x >= ceiling - 1e-9 * ceiling
     return ExponentValue(max(0.0, -fmin), {"x": x, "at_ceiling": hit})

@@ -83,26 +83,29 @@ class Thresholds:
             )
 
 
-def _tilted(x: np.ndarray, probs: np.ndarray, t: float) -> tuple[float, float, float]:
+def _tilted(x: list[float], probs: list[float], t: float) -> tuple[float, float, float]:
     """K(t) = ln E[e^(tX)] and K', K'': the mean and variance of X tilted by e^(tX).
 
     K = peak + ln S with peak = max tX and S = E[e^(tX - peak)], so no term
     overflows. While S > 1/2, ln S = log1p(E[expm1(tX - peak)]) keeps small |t|'s
-    digits; a smaller S (a rare peak symbol) keeps them only as ln S.
+    digits; a smaller S (a rare peak symbol) keeps them only as ln S. x and probs
+    are lists of floats: on 2-10 symbols, plain floats beat numpy's dispatch.
     """
-    e = t * x
-    peak = float(np.max(e))
-    w = probs * np.exp(e - peak)
-    total = float(np.sum(w))
-    mean = float(np.dot(w, x)) / total
-    s = float(np.dot(probs, np.expm1(e - peak)))
+    z = [t * v for v in x]
+    peak = max(z)
+    z = [u - peak for u in z]
+    w = [p * math.exp(u) for p, u in zip(probs, z)]
+    total = math.fsum(w)
+    mean = math.fsum(a * v for a, v in zip(w, x)) / total
+    s = math.fsum(p * math.expm1(u) for p, u in zip(probs, z))
     k = peak + (math.log1p(s) if s > -0.5 else math.log(total))
-    return k, mean, float(np.dot(w, (x - mean) ** 2)) / total
+    return k, mean, math.fsum(a * (v - mean) ** 2 for a, v in zip(w, x)) / total
 
 
 def log_mgf_h(pair: HypothesisPair, t: float) -> float:
     """H(t) = ln sum_x P1(x)^(1-t) P2(x)^t = ln E_P1[e^(-t llr)]; H(0) = H(1) = 0."""
-    return _tilted(-pair.mart12.llr, pair.mart12.probs, t)[0]
+    mart = pair.mart12
+    return _tilted([-u for u in mart.llr.tolist()], mart.probs.tolist(), t)[0]
 
 
 def rate_function(pair: HypothesisPair, r: float) -> float:
@@ -113,14 +116,14 @@ def rate_function(pair: HypothesisPair, r: float) -> float:
     convex, and is +inf outside [min V, max V]. Inside, I(r) = -min_t (H(t) - t r)
     by ``newton_min`` on the tilted cumulants of V - r.
     """
-    v = -pair.mart12.llr
-    vmin, vmax = float(np.min(v)), float(np.max(v))
+    v, probs = [-u for u in pair.mart12.llr.tolist()], pair.mart12.probs.tolist()
+    vmin, vmax = min(v), max(v)
     if not vmin < r < vmax:  # -ln P1(V = edge) at an edge, +inf beyond it
         edge = vmax if r >= vmax else vmin
-        mass = float(np.sum(pair.mart12.probs[abs(v - edge) <= _EDGE_TOL]))
+        mass = math.fsum(p for p, u in zip(probs, v) if abs(u - edge) <= _EDGE_TOL)
         return -math.log(mass) if abs(r - edge) <= _EDGE_TOL else math.inf
-    x = v - r
-    return max(0.0, -newton_min(lambda t: _tilted(x, pair.mart12.probs, t))[1])
+    x = [u - r for u in v]
+    return max(0.0, -newton_min(lambda t: _tilted(x, probs, t))[1])
 
 
 def chernoff_information(pair: HypothesisPair) -> float:

@@ -191,7 +191,13 @@ def exact_tail_dp(law: IncrementLaw, query: TailQuery) -> float:
             f"exceed the caps ({_STATE_CAP} entries, {_WORK_CAP} updates)"
         )
 
-    keys, dist = (_dense_rounds if dense else _count_masses)(steps, law.probs, n)
+    if dense:  # on the lattice the sums reach: steps (v - lo)/g, keys n*lo + g*k
+        lo = min(steps)
+        g = math.gcd(*(v - lo for v in steps)) or 1
+        keys, dist = _dense_rounds([(v - lo) // g for v in steps], law.probs, n)
+        keys = n * lo + g * keys
+    else:
+        keys, dist = _count_masses(steps, law.probs, n)
     thresh = Fraction(query.threshold) * denom
     tail = math.fsum(dist[keys >= math.ceil(thresh)])
     if query.two_sided:

@@ -659,12 +659,8 @@ class TestThm4Cor4:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(
         m=st.sampled_from(range(2, 13, 2)),
-        gammas=st.lists(  # subnormal ratios: see the xfail test below
-            st.one_of(
-                st.just(0.0),
-                st.floats(0.0, 1.0, allow_subnormal=False),
-                st.floats(0.0, 3.0, allow_subnormal=False),
-            ),
+        gammas=st.lists(
+            st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.floats(0.0, 3.0)),
             min_size=11,
             max_size=11,
         ),
@@ -678,15 +674,54 @@ class TestThm4Cor4:
         oracle = -math.log(grid_min_base_m(gammas, delta, xs))
         assert thm4_exponent(MomentProfile(gammas), delta).exponent >= oracle - 1e-12
 
-    @pytest.mark.xfail(strict=True, reason="a subnormal gamma_m overflows r e^-x / gamma_m")
     def test_subnormal_gamma_m_keeps_the_sup(self):
-        # past x = 30, _log_mgf_bound forms log1p(r e^-x / gamma_m), which is
-        # inf when gamma_m is subnormal, and its factored form drops r e^-x
-        # from x = 700 on; here thm4 reports 0 at x = 5e5
+        # past x = 30, gamma_m e^x is factored out of S; for a subnormal gamma_m
+        # log1p(r e^-x / gamma_m) overflowed and r e^-x was dropped from x = 700
+        # on, so thm4 reported 0 at x = 5e5 here
         gammas = (0.0,) * 7 + (1.0, 5e-324)
         xs = np.linspace(0.0, 30.0, 301)
         oracle = -math.log(grid_min_base_m(gammas, 0.5, xs))
         assert thm4_exponent(MomentProfile(gammas), 0.5).exponent >= oracle - 1e-12
+
+    @pytest.mark.parametrize(
+        "gammas,delta,sup",
+        [  # 50-digit mpmath sups, at x = 737.4, 791.7, 729.7 and 763.6
+            ((0.0,) * 7 + (1.0, 1e-300), 0.5, 321.38150807785185649),
+            ((0.0,) * 7 + (1.0, 5e-324), 0.5, 347.89401338986260417),
+            ((0.5, 0.3, 1e-310), 0.3, 201.77714706659748679),
+            ((0.5, 0.3, 5e-324), 0.9, 667.97850482026700415),
+        ],
+    )
+    def test_tiny_gamma_m_sup_past_x_700(self, gammas, delta, sup):
+        # each sup lies past x = 700, where r e^-x is not negligible beside gamma_m
+        got = thm4_exponent(MomentProfile(gammas), delta).exponent
+        assert got == pytest.approx(sup, rel=1e-13, abs=0)
+
+    def test_never_evaluates_f_at_zero(self, monkeypatch, rng):
+        # f'(0) = -delta exactly (S(0) = 1, S'(0) = 0): thm4 reads no f(0)
+        seen, log_mgf_bound = [], bounds._log_mgf_bound
+
+        def recorded(profile, x, delta):
+            seen.append(x)
+            return log_mgf_bound(profile, x, delta)
+
+        monkeypatch.setattr(bounds, "_log_mgf_bound", recorded)
+        cases = [
+            (tuple(float.fromhex(v) for v in row["gammas"]), float.fromhex(row["delta"]))
+            for row in THM4_BITS["rows"]
+        ]
+        for m in range(2, 13, 2):
+            for kind in range(3):
+                gammas = rng.uniform(0.0, 1.0 + 2.0 * (kind == 1), m - 1)
+                if kind == 2:  # gamma_2 = 0 and other zero ratios
+                    gammas[rng.uniform(size=m - 1) < 0.4] = 0.0
+                    gammas[0] = 0.0
+                for delta in (1e-12, 0.01, 0.5, float(rng.uniform()), 1.0 - 1e-9, 1.0):
+                    cases.append((tuple(gammas.tolist()), delta))
+        for gammas, delta in cases:
+            thm4_exponent(MomentProfile(gammas), delta)
+        assert len(seen) > len(cases)
+        assert 0.0 not in seen
 
 
 class TestCor6:

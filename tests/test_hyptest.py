@@ -154,6 +154,36 @@ class TestRateFunction:
 class TestLegendreKernel:
     """rate_function and chernoff_information against a 40-digit reference."""
 
+    def test_tilted_cumulants_against_mpmath(self, rng):
+        # K, K' and K'' to 1e-14 of the scale |t| max|x| sets for their round-off;
+        # the last law's peak symbol has mass 1e-12, so S < 1/2 and K = peak + ln S
+        mpmath = pytest.importorskip("mpmath")
+        laws = []
+        for _ in range(40):
+            size = int(rng.integers(2, 11))
+            x, probs = rng.normal(0.0, 2.0, size), rng.dirichlet(np.ones(size))
+            laws.append((x.tolist(), probs.tolist()))
+        laws.append(([1.0, -0.5, 0.2], [1e-12, 0.5, 0.5 - 1e-12]))
+        ts = [0.0, 1e-9, 0.3, 2.0, 50.0, 1e3, 1e4]
+        small_s = 0
+        for x, probs in laws:
+            scale = max(map(abs, x))
+            for t in ts + [-t for t in ts[1:]]:
+                got = hyptest._tilted(x, probs, t)
+                with mpmath.workdps(40):
+                    xs, ps = [mpmath.mpf(v) for v in x], [mpmath.mpf(p) for p in probs]
+                    peak = max(t * v for v in xs)
+                    w = [p * mpmath.exp(t * v - peak) for p, v in zip(ps, xs)]
+                    total = mpmath.fsum(w)
+                    mean = mpmath.fsum(a * v for a, v in zip(w, xs)) / total
+                    var = mpmath.fsum(a * (v - mean) ** 2 for a, v in zip(w, xs)) / total
+                    want = [peak + mpmath.log(total), mean, var]
+                small_s += (x, probs) == laws[-1] and total < 0.5
+                tol = 1e-14 * (1.0 + abs(t) * scale)
+                for j, (g, i) in enumerate(zip(got, want)):
+                    assert abs(g - float(i)) <= tol * scale**j, (x, probs, t, j, g, i)
+        assert small_s == 4  # t = 2, 50, 1e3 and 1e4
+
     def test_against_mpmath(self, rng, mp_cramer_rate):
         mpmath = pytest.importorskip("mpmath")
         for _ in range(40):

@@ -1,8 +1,9 @@
 """Every name a tailforge module imports or keeps private is used in that module,
 every dataclass field it declares is read somewhere in the repository, the
 sites that form a tail exponent leave its probability to ``bounds.tail_bound``,
-only ``bounds.as_count`` decides what counts as an integer, and only the domain
-helpers of ``bounds`` hold the delta and gamma rules."""
+only ``bounds.as_count`` decides what counts as an integer, only the domain
+helpers of ``bounds`` hold the delta and gamma rules, and hyptest's tilted
+kernel makes no numpy call."""
 
 import ast
 import fnmatch
@@ -323,3 +324,28 @@ def test_no_unused_private_names(module):
 def test_no_unread_dataclass_fields(module):
     source = (SRC / module).read_text(encoding="utf-8")
     assert unread_fields(source, _attributes_read_in_repo()) == []
+
+
+def numpy_uses(node: ast.AST) -> list[str]:
+    """Each ``np.<name>`` or ``numpy.<name>`` read under ``node``."""
+    return sorted(
+        ast.unparse(n)
+        for n in ast.walk(node)
+        if isinstance(n, ast.Attribute)
+        and isinstance(n.value, ast.Name)
+        and n.value.id in ("np", "numpy")
+    )
+
+
+def test_checker_flags_numpy_uses():
+    source = "def f(x):\n    return np.exp(x), numpy.float64, math.exp(x)\n"
+    assert numpy_uses(ast.parse(source)) == ["np.exp", "numpy.float64"]
+
+
+def test_tilted_kernel_runs_on_plain_floats():
+    # hyptest's tilted pass is a handful of symbols: numpy dispatch costs more
+    tree = ast.parse((SRC / "hyptest.py").read_text(encoding="utf-8"))
+    (kernel,) = [
+        n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_tilted"
+    ]
+    assert numpy_uses(kernel) == []

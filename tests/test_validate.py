@@ -353,6 +353,29 @@ class TestDenseKernel:
         assert set(kernels) == {kernel}
 
     @pytest.mark.parametrize(
+        "law",
+        [DP_LAWS["two_point_20"], IncrementLaw((1.0, -3 / 7), (0.3, 0.7))],
+        ids=["steps_19_-1", "steps_7_-3"],
+    )
+    @pytest.mark.parametrize("n", [1, 9, 250])
+    def test_runs_on_the_lattice_the_sums_reach(self, monkeypatch, law, n):
+        # sums of steps (19, -1) or (7, -3) reach every 20th or 10th key only
+        cells, dense_rounds = [], validate._dense_rounds
+
+        def recorded(*args):
+            keys, dist = dense_rounds(*args)
+            cells.append(dist.size)
+            return keys, dist
+
+        monkeypatch.setattr(validate, "_dense_rounds", recorded)
+        for x in (0.0, 0.1, 0.37, 1.0):
+            for two_sided in (False, True):
+                q = TailQuery(n, x * law.d * n, two_sided=two_sided)
+                got, want = exact_tail_dp(law, q), _reference_tail(law, q)
+                assert got.hex() == want.hex(), (x, two_sided)
+        assert set(cells) == {n + 1}
+
+    @pytest.mark.parametrize(
         "label", [k for k in DP_LAWS if k not in SPARSE_LAWS]
     )
     def test_distribution_bit_identical(self, label):
