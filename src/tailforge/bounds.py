@@ -248,35 +248,64 @@ def thm3_exponent(spec: MartingaleSpec, alpha: float) -> ExponentValue:
 
 
 @functools.cache
-def _poly_plan(n: int, j0: int) -> tuple:
-    """The terms of P_j0, P_j0+1, P_j0+2 for n = m - 1 ratios: (l - 2, k = l - j, k!)."""
+def _poly_plan(n: int) -> tuple:
+    """Per j0 = 0..n, the powers k = 0..n - j0 and terms of P_j0, P_j0+1, P_j0+2.
+
+    n = m - 1 ratios. The terms are a row per l >= max(2, j0): (l - 2, k0, k1,
+    k2, k0!, k1!, k2!) with k_i = l - j0 - i, where a k_i < 0 (no such term)
+    reads index -1, over 1.0; ``_SKernel.derivs`` keeps 0.0 there. k! is a
+    float up to k = 170 and the exact int past it, so a division by it raises
+    OverflowError as the direct sum's does.
+    """
+    facts = [float(math.factorial(k)) if k <= 170 else math.factorial(k) for k in range(n + 1)]
+
+    def row(l, j0):
+        ks = [k if k >= 0 else -1 for k in (l - j0, l - j0 - 1, l - j0 - 2)]
+        return (l - 2, *ks, *(facts[k] if k >= 0 else 1.0 for k in ks))
+
     return tuple(
-        tuple((l - 2, l - j, math.factorial(l - j)) for l in range(max(2, j), n + 1))
-        for j in range(j0, j0 + 3)
+        (range(n + 1 - j0), tuple(row(l, j0) for l in range(max(2, j0), n + 1)))
+        for j0 in range(n + 1)
     )
 
 
-def _poly_derivs(profile: MomentProfile, x: float, j0: int):
-    """The derivatives P_j0, P_j0+1 and P_j0+2 of P, the polynomial part of S.
+class _SKernel:
+    """S's polynomial part P(x) = sum_{2<=l<m} (gamma_l - gamma_m) x^l/l! for one profile.
 
-    P(x) = sum_{2<=l<m} (gamma_l - gamma_m) x^l/l!. The powers x**k are formed
-    once for all three. P_j adds its terms (gamma_l - gamma_m) * x**k / k!,
-    k = l - j, to int 0 in ascending l, so it is the direct sum's float; k! is
-    an exact int, so past k = 170 the division raises OverflowError. A P_j
-    with no terms (all three at m = 2) is int 0.
+    Built once per thm4, cor6 or cor4 call; it holds the ratios, gamma_m, the
+    differences gamma_l - gamma_m and the ``_poly_plan`` of their length.
     """
-    g = profile.gammas
-    if len(g) == 1:
-        return 0, 0, 0
-    gm = g[-1]
-    pw = [x**k for k in range(len(g) + 1 - j0)]
-    out = []
-    for terms in _poly_plan(len(g), j0):
-        total = 0
-        for i, k, f in terms:
-            total += (g[i] - gm) * pw[k] / f
-        out.append(total)
-    return out
+
+    __slots__ = ("gammas", "gm", "_diffs", "_plan")
+
+    def __init__(self, profile: MomentProfile):
+        self.gammas = g = profile.gammas
+        self.gm = gm = g[-1]
+        self._diffs = [v - gm for v in g[:-1]]
+        self._plan = _poly_plan(len(g))
+
+    def derivs(self, x: float, j0: int):
+        """The derivatives P_j0, P_j0+1 and P_j0+2 of P, in one pass over l.
+
+        P_j adds its terms (gamma_l - gamma_m) * x**k / k!, k = l - j, to int 0
+        in ascending l, so it is the direct sum's float. The powers x**k,
+        k <= m - 1 - j0, are formed once for all three; a missing term adds
+        +-0.0, which leaves every sum's float as it is. A P_j with no terms
+        (all three at m = 2) is 0.
+        """
+        d = self._diffs
+        if not d:
+            return 0, 0, 0
+        powers, terms = self._plan[j0]
+        pw = [x**k for k in powers]
+        pw.append(0.0)
+        p0 = p1 = p2 = 0
+        for i, k0, k1, k2, f0, f1, f2 in terms:
+            a = d[i]
+            p0 += a * pw[k0] / f0
+            p1 += a * pw[k1] / f1
+            p2 += a * pw[k2] / f2
+        return p0, p1, p2
 
 
 def _expm1_minus_x(x: float) -> float:
@@ -317,41 +346,48 @@ def _factored(gm: float, x: float, r: float) -> tuple[float | None, float, float
     return x + lg, gm, math.exp(-x) if x < 700.0 else 0.0
 
 
-def _log_mgf_bound(profile: MomentProfile, x: float, delta: float):
+def _log_mgf_bound(kernel: _SKernel, x: float, delta: float):
     """f(x) = ln S(x) - delta*x and its first two derivatives, from one pass.
 
-    S(x) = 1 + sum_{l<m}(gamma_l - gamma_m)x^l/l! + gamma_m(e^x-1-x) upper-bounds
-    a conditional MGF; S >= 1 on x >= 0 as every gamma_l >= 0. For x <= 30,
-    ln S = log1p(S - 1) keeps small x's digits, as does e^x - 1 - x's series
-    below x = 0.1, where expm1(x) - x keeps only about 2eps/x. Above x = 30,
-    S = gamma_m e^x + r is split by ``_factored`` so huge x never overflows
-    and a tiny gamma_m loses no term, and the slope
+    S(x) = 1 + P(x) + gamma_m(e^x-1-x) upper-bounds a conditional MGF, with P
+    and gamma_m from the call's ``_SKernel``; S >= 1 on x >= 0 as every
+    gamma_l >= 0. For x <= 30, ln S = log1p(S - 1) keeps small x's digits, as
+    does e^x - 1 - x's series below x = 0.1, where expm1(x) - x keeps only
+    about 2eps/x. Above x = 30, S = gamma_m e^x + r is split by ``_factored``
+    so huge x never overflows and a tiny gamma_m loses no term, and the slope
     (S' - delta*S)/S has its gamma_m e^x terms cancelled by hand, so it keeps
-    its sign when delta = 1.
+    its sign when delta = 1. There ln S = lk + log1p(r e^-lk), lk = x + ln
+    gamma_m, except where gamma_m e^x = e^lk < 1: S may then lie near 1 and
+    the two terms cancel, so ln S is log1p(P + (e^lk - gamma_m(1 + x))).
     """
-    gm = profile.gamma_m
-    p = _poly_derivs(profile, x, 0)
+    gm = kernel.gm
+    p0, p1, p2 = kernel.derivs(x, 0)
     if x <= 30.0:
         em1 = math.expm1(x)
-        u = p[0] + gm * (_expm1_minus_x(x) if x < 0.1 else em1 - x)  # S - 1
+        u = p0 + gm * (_expm1_minus_x(x) if x < 0.1 else em1 - x)  # S - 1
         s, log_s = 1.0 + u, math.log1p(u)
-        ds, s2 = p[1] + gm * em1 - delta * s, p[2] + gm * (em1 + 1.0)
+        ds, s2 = p1 + gm * em1 - delta * s, p2 + gm * (em1 + 1.0)
     else:
-        r = 1.0 + p[0] - gm * (1.0 + x)
+        r = 1.0 + p0 - gm * (1.0 + x)
         lk, a, e = _factored(gm, x, r)  # s, ds and s2 carry a factor a*e^-lk
         s = a + r * e
-        log_s = math.log(s) if lk is None else lk + math.log1p(r * e / a)
-        ds, s2 = a * (1.0 - delta) + (p[1] - gm - delta * r) * e, a + p[2] * e
+        if lk is None:
+            log_s = math.log(s)
+        elif lk < 0.0:
+            log_s = math.log1p(p0 + (math.exp(lk) - gm * (1.0 + x)))
+        else:
+            log_s = lk + math.log1p(r * e / a)
+        ds, s2 = a * (1.0 - delta) + (p1 - gm - delta * r) * e, a + p2 * e
     slope = ds / s
     return log_s - delta * x, slope, s2 / s - (slope + delta) ** 2
 
 
-def _slope_cuts(profile: MomentProfile, delta: float, ceiling: float) -> list:
+def _slope_cuts(kernel: _SKernel, delta: float, ceiling: float) -> list:
     """Points of (0, ceiling) between which S' - delta*S changes sign at most once.
 
-    For k >= 1, S^(k) = P_k + gamma_m e^x with P_k from ``_poly_derivs`` (less
-    gamma_m at k = 1), so g_k = S^(k+1) - delta*S^(k) has derivative g_{k+1}.
-    Between two sign changes of g_{k+1}, g_k is monotone (Rolle), and
+    For k >= 1, S^(k) = P_k + gamma_m e^x with P_k from ``_SKernel.derivs``
+    (less gamma_m at k = 1), so g_k = S^(k+1) - delta*S^(k) has derivative
+    g_{k+1}. Between two sign changes of g_{k+1}, g_k is monotone (Rolle), and
     ``newton_min`` finds its one sign change: from g_top, which has at most
     one, down to g_1. g_k's Taylor coefficients a_j (j >= k) are gamma_2 at
     j = 1, gamma_{j+1} - delta*gamma_j for 2 <= j < m and gamma_m(1 - delta)
@@ -359,28 +395,35 @@ def _slope_cuts(profile: MomentProfile, delta: float, ceiling: float) -> list:
     top is the last j with a_j < 0, or 0 (no cascade). Its float test holds at
     every such j, as rounding is monotone.
     """
-    gm, gs = profile.gamma_m, profile.gammas
-    neg = [j for j, (u, v) in enumerate(zip(gs, gs[1:]), 2) if 0.0 < u and v <= delta * u]
-    if not neg:
+    gammas, gm = kernel.gammas, kernel.gm
+    for top in range(len(gammas), 1, -1):
+        u = gammas[top - 2]
+        if 0.0 < u and gammas[top - 1] <= delta * u:
+            break
+    else:
         return []
 
     def g(k, x):  # g_k over the factor ``_factored`` takes out, and its slope
-        derivs = enumerate(_poly_derivs(profile, x, k), k)
-        p = [v - (gm if j == 1 else 0.0) for j, v in derivs]
-        d = [p[i + 1] - delta * p[i] for i in (0, 1)]
-        lk, a, e = _factored(gm, x, max(d, key=abs))
-        v = [di * e + a * (1.0 - delta) for di in d]
-        return v[0], v[1] - (0.0 if lk is None else v[0])
+        p0, p1, p2 = kernel.derivs(x, k)
+        d0 = p1 - delta * (p0 - gm if k == 1 else p0)
+        d1 = p2 - delta * p1
+        lk, a, e = _factored(gm, x, d1 if abs(d1) > abs(d0) else d0)
+        v0, v1 = d0 * e + a * (1.0 - delta), d1 * e + a * (1.0 - delta)
+        return v0, v1 if lk is None else v1 - v0
 
     cuts = []
-    for k in range(max(neg), 0, -1):
+    for k in range(top, 0, -1):
         pts, cuts = [0.0, *cuts, ceiling], []
         ends = [g(k, x)[0] for x in pts]
         for a, b, ga, gb in zip(pts, pts[1:], ends, ends[1:]):
             s = 1.0 if ga < 0.0 else -1.0  # orient g_k to rise through 0
             if s * gb > 0.0:
-                t, _ = newton_min(lambda x: (0.0, *(s * v for v in g(k, x))), a, b, a)
-                cuts.append(t)
+
+                def rising(x):
+                    v0, v1 = g(k, x)
+                    return 0.0, s * v0, s * v1
+
+                cuts.append(newton_min(rising, a, b, a)[0])
     return cuts
 
 
@@ -390,7 +433,8 @@ def thm4_exponent(profile: MomentProfile, delta: float) -> ExponentValue:
     The m = 2, delta = 1 endpoint with gamma > 0 uses the closed form
     1/gamma - ln(gamma(e^{1/gamma} - 1)). Otherwise ln S - delta*x is minimised
     globally on [0, max(50, 4/gamma_m, 10/(1-delta))]: by ``newton_min`` on each
-    piece between ``_slope_cuts``, and at the ceiling. A cut-finding level whose
+    piece between ``_slope_cuts``, and at the ceiling, all from one
+    ``_SKernel``. A cut-finding level whose
     Taylor coefficients gamma_{j+1} - delta*gamma_j are all >= 0 is >= 0 on
     [0, inf), so has no sign change and is skipped; with none negative, one
     ``newton_min`` runs on [0, ceiling]. ``params['at_ceiling']``
@@ -399,25 +443,30 @@ def thm4_exponent(profile: MomentProfile, delta: float) -> ExponentValue:
     """
     if (edge := _delta_edge(delta)) is not None:
         return edge
-    if delta == 1.0 and profile.m == 2 and profile.gamma2 > 0.0:
-        return ExponentValue(_cor4_delta1(profile.gamma2))
-    gm = profile.gamma_m
+    gammas = profile.gammas
+    g2, gm = gammas[0], gammas[-1]
+    if delta == 1.0 and len(gammas) == 1 and g2 > 0.0:
+        return ExponentValue(_cor4_delta1(g2))
     ceiling = max(50.0, 4.0 / gm if gm > 0.0 else 0.0)
     ceiling = min(max(ceiling, 10.0 / (1.0 - delta) if delta < 1.0 else 0.0), 1e6)
+    kernel = _SKernel(profile)
 
     def f(x):
-        return _log_mgf_bound(profile, x, delta)
+        return _log_mgf_bound(kernel, x, delta)
 
-    pts = [0.0, *_slope_cuts(profile, delta, ceiling), ceiling]
+    pts = [0.0, *_slope_cuts(kernel, delta, ceiling), ceiling]
     fs = [f(x) for x in pts[1:]]
-    slopes = [-delta, *(fb[1] for fb in fs)]  # f'(0) = -delta: S(0) = 1, S'(0) = 0
-    x, fmin, g2 = ceiling, fs[-1][0], profile.gamma2
-    for a, b, da, db in zip(pts, pts[1:], slopes, slopes[1:]):
+    x, fmin = ceiling, fs[-1][0]
+    da = -delta  # f'(0) = -delta: S(0) = 1, S'(0) = 0
+    for a, b, (_, db, _) in zip(pts, pts[1:], fs):
         if da < 0.0 <= db:  # f falls from a and rises into b: a minimum
             # Newton's first step from 0 is delta/gamma_2, which can lie below its
             # stop; at gamma_2 = 0, f''(0) = 0 and it bisects to b/2
             t = a if a > 0.0 else min(b, delta / g2) if g2 > 0.0 else 0.5 * b
-            x, fmin = min((x, fmin), newton_min(f, a, b, t), key=lambda c: c[1])
+            t, ft = newton_min(f, a, b, t)
+            if ft < fmin:
+                x, fmin = t, ft
+        da = db
     hit = x >= ceiling - 1e-9 * ceiling
     return ExponentValue(max(0.0, -fmin), {"x": x, "at_ceiling": hit})
 
@@ -444,7 +493,7 @@ def cor4_exponent(gamma: float, delta: float) -> ExponentValue:
     if x <= 30.0:  # ln(1 + u), not log1p(u): pinned by the exp_small_delta_out golden
         e = delta * x - math.log(1.0 + gamma * (math.expm1(x) - x))
     else:
-        e = -_log_mgf_bound(MomentProfile((gamma,)), x, delta)[0]
+        e = -_log_mgf_bound(_SKernel(MomentProfile((gamma,))), x, delta)[0]
     return ExponentValue(max(0.0, e), {"x": x})
 
 
@@ -488,7 +537,7 @@ def cor6_suboptimal(profile: MomentProfile, delta: float):
     else:
         log_w = math.log(b / c) + (a + b) / c
         x = (a + b) / c - lambert_w0_exparg(log_w)
-    e = -_log_mgf_bound(profile, x, delta)[0]
+    e = -_log_mgf_bound(_SKernel(profile), x, delta)[0]
     return x, ExponentValue(max(0.0, e), {"x": x})
 
 

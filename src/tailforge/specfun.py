@@ -214,13 +214,22 @@ def newton_min(fn, lo: float = -math.inf, hi: float = math.inf, t: float = 0.0):
     leave the bracket, or a non-positive f'', bisects it instead; an open
     side stands at 2t -/+ 1 (t is the closed end), so t grows geometrically.
     Returns (t, f(t)): a local minimum, or the bound f still falls towards.
+    The stop test is min(hi - lo, |step|) <= tol * max(1, |t|) spelt out
+    with comparisons, NaN step included, so it calls no builtin.
     """
+    inf = math.inf
     while True:
         f, df, d2f = fn(t)
-        lo, hi = (t, hi) if df < 0.0 else (lo, t)
+        if df < 0.0:
+            lo = t
+        else:
+            hi = t
         step = -df / d2f if d2f > 0.0 else math.nan
-        if min(hi - lo, abs(step)) <= _NEWTON_TOL * max(1.0, abs(t)):
+        size, width = step if step >= 0.0 else -step, hi - lo
+        scale = t if t > 1.0 else -t if t < -1.0 else 1.0
+        if (size if size < width else width) <= _NEWTON_TOL * scale:
             return t, f
-        a = lo if lo > -math.inf else 2.0 * t - 1.0
-        b = hi if hi < math.inf else 2.0 * t + 1.0
-        t = t + step if a < t + step < b else 0.5 * (a + b)
+        a = lo if lo > -inf else 2.0 * t - 1.0
+        b = hi if hi < inf else 2.0 * t + 1.0
+        u = t + step
+        t = u if a < u < b else 0.5 * (a + b)

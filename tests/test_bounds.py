@@ -523,9 +523,9 @@ class TestThm4Cor4:
     @pytest.mark.parametrize("delta", [1e-6, 0.3])
     def test_continuity_at_series_switch(self, gammas, delta):
         # e^x - 1 - x is a series below x = 0.1 and expm1(x) - x from there
-        profile = MomentProfile(gammas)
-        below = bounds._log_mgf_bound(profile, math.nextafter(0.1, 0.0), delta)
-        at = bounds._log_mgf_bound(profile, 0.1, delta)
+        kernel = bounds._SKernel(MomentProfile(gammas))
+        below = bounds._log_mgf_bound(kernel, math.nextafter(0.1, 0.0), delta)
+        at = bounds._log_mgf_bound(kernel, 0.1, delta)
         for lo, hi in zip(below, at):
             assert abs(lo - hi) <= 1e-15 * abs(hi)
 
@@ -533,33 +533,43 @@ class TestThm4Cor4:
     @given(
         m=st.sampled_from(range(2, 13, 2)),
         gammas=st.lists(
-            st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.floats(1.0, 3.0)),
+            st.one_of(
+                st.sampled_from([0.0, 5e-324, 1e-310]),
+                st.floats(0.0, 1.0),
+                st.floats(1.0, 3.0),
+            ),
             min_size=11,
             max_size=11,
         ),
         x=st.one_of(
-            st.sampled_from([0.0, 0.1, 30.0, math.nextafter(30.0, math.inf), 1e6]),
+            st.sampled_from([0.0, 0.1, 30.0, math.nextafter(30.0, math.inf), 700.0, 1e6]),
             st.floats(0.0, 0.1, exclude_max=True),
-            st.floats(0.0, 1e6),
+            st.floats(0.1, 30.0),
+            st.floats(30.0, 700.0, exclude_min=True, exclude_max=True),
+            st.floats(700.0, 1e6),
         ),
         j0=st.integers(0, 11),
     )
     def test_poly_derivs_equal_the_direct_sums_bit_for_bit(self, m, gammas, x, j0):
-        # each derivative is the sum of (gamma_l - gamma_m) x**(l-j)/(l-j)! over
-        # ascending l from int 0, exactly as a direct generator sum forms it
+        # each derivative of the kernel's P adds (gamma_l - gamma_m) x**(l-j)/(l-j)!
+        # to int 0 over ascending l, left to right: from Python 3.12 the builtin
+        # sum() of floats is compensated, so it is no reference
         gammas, j0 = tuple(gammas[: m - 1]), j0 % m
         gm = gammas[-1]
-        want = [
-            sum(
-                (g - gm) * x ** (l - j) / math.factorial(l - j)
-                for l, g in enumerate(gammas[:-1], 2)
-                if l >= j
-            )
-            for j in range(j0, j0 + 3)
-        ]
-        got = bounds._poly_derivs(MomentProfile(gammas), x, j0)
-        assert [type(v) for v in got] == [type(v) for v in want]
+        want = []
+        for j in range(j0, j0 + 3):
+            total = 0
+            for l, g in enumerate(gammas[:-1], 2):
+                if l >= j:
+                    total += (g - gm) * x ** (l - j) / math.factorial(l - j)
+            want.append(total)
+        got = bounds._SKernel(MomentProfile(gammas)).derivs(x, j0)
         assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
+
+    def test_poly_derivs_past_order_170_raise_the_int_overflow(self):
+        # 171! passes the float range; the kernel keeps the direct sum's error
+        with pytest.raises(OverflowError, match="int too large to convert to float"):
+            thm4_exponent(MomentProfile((0.5,) * 171), 0.5)
 
     def test_unrolled_series_equals_its_loop_bit_for_bit(self, rng):
         # about 1 x in 200 tells t2 * (x / 3) from t2 * x / 3, so sweep densely
@@ -618,16 +628,16 @@ class TestThm4Cor4:
     def test_cascade_starts_at_the_last_negative_coefficient(
         self, monkeypatch, gammas, delta, levels
     ):
-        # the cascade evaluates g_k through _poly_derivs(profile, x, k >= 1);
+        # the cascade evaluates g_k through the kernel's derivs(x, k >= 1);
         # levels whose coefficients are all >= 0 have no cut and are not run
-        seen, poly_derivs = [], bounds._poly_derivs
+        seen, derivs = [], bounds._SKernel.derivs
 
-        def counted(profile, x, j0):
+        def counted(kernel, x, j0):
             if j0 >= 1:
                 seen.append(j0)
-            return poly_derivs(profile, x, j0)
+            return derivs(kernel, x, j0)
 
-        monkeypatch.setattr(bounds, "_poly_derivs", counted)
+        monkeypatch.setattr(bounds._SKernel, "derivs", counted)
         thm4_exponent(MomentProfile(gammas), delta)
         assert list(dict.fromkeys(seen)) == levels
         assert cascade_start(gammas, delta) == max(levels, default=0)
@@ -697,13 +707,31 @@ class TestThm4Cor4:
         got = thm4_exponent(MomentProfile(gammas), delta).exponent
         assert got == pytest.approx(sup, rel=1e-13, abs=0)
 
+    @pytest.mark.parametrize("gamma", [1e-200, 1e-30, 5e-324])
+    def test_tiny_gamma_m_at_small_delta_against_mpmath_sup(self, gamma):
+        # the sup lies past x = 30 where gamma e^x ~ delta < 1: there ln S was
+        # (x + ln gamma) + log1p(.), two terms near -+27 that cancel to ~1e-12
+        delta = 1e-12
+        mpmath = pytest.importorskip("mpmath")
+        ev = thm4_exponent(MomentProfile((gamma,)), delta)
+        assert ev.params["x"] > 30.0
+        with mpmath.workdps(50):
+            g, d = mpmath.mpf(gamma), mpmath.mpf(delta)
+
+            def s(x):
+                return 1 + g * (mpmath.expm1(x) - x)
+
+            x = mpmath.findroot(lambda x: g * mpmath.expm1(x) - d * s(x), mpmath.log(d / g))
+            want = float(d * x - mpmath.log(s(x)))
+        assert abs(ev.exponent - want) <= 1e-12 * want
+
     def test_never_evaluates_f_at_zero(self, monkeypatch, rng):
         # f'(0) = -delta exactly (S(0) = 1, S'(0) = 0): thm4 reads no f(0)
         seen, log_mgf_bound = [], bounds._log_mgf_bound
 
-        def recorded(profile, x, delta):
+        def recorded(kernel, x, delta):
             seen.append(x)
-            return log_mgf_bound(profile, x, delta)
+            return log_mgf_bound(kernel, x, delta)
 
         monkeypatch.setattr(bounds, "_log_mgf_bound", recorded)
         cases = [

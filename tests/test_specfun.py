@@ -2,17 +2,23 @@
 
 Oracles here never reuse the implementation path: power series partial
 sums for f(delta), and brute-force bisection and scipy for the Lambert
-branches.
+branches. ``newton_min`` is checked against a verbatim copy of its earlier
+loop on the functions its callers pass it.
 """
 
+import contextlib
 import math
 import re
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import lambertw as scipy_lambertw
 
+from tailforge import bounds, hyptest
+from tailforge.bounds import MomentProfile, thm4_exponent
 from tailforge.hyptest import LlrMartingale
 from tailforge.pmf import FinitePmf
 from tailforge import specfun
@@ -301,3 +307,90 @@ class TestConcurrencyPurity:
         # pure functions: repeated calls give identical results
         a = [specfun.f_delta(0.3) for _ in range(3)]
         assert len(set(a)) == 1
+
+
+def parent_newton_min(fn, lo=-math.inf, hi=math.inf, t=0.0):
+    """``newton_min`` verbatim as it stood, with builtin min, max and abs calls."""
+    while True:
+        f, df, d2f = fn(t)
+        lo, hi = (t, hi) if df < 0.0 else (lo, t)
+        step = -df / d2f if d2f > 0.0 else math.nan
+        if min(hi - lo, abs(step)) <= specfun._NEWTON_TOL * max(1.0, abs(t)):
+            return t, f
+        a = lo if lo > -math.inf else 2.0 * t - 1.0
+        b = hi if hi < math.inf else 2.0 * t + 1.0
+        t = t + step if a < t + step < b else 0.5 * (a + b)
+
+
+@contextlib.contextmanager
+def newton_against_parent(module):
+    """Run each ``newton_min`` call ``module`` makes through the parent loop too.
+
+    Yields a list that gets (function name, parent (t, f), new (t, f)) per
+    call, both by ``float.hex``; the call goes on with the new result.
+    """
+    seen = []
+
+    def both(fn, *args):
+        want, got = parent_newton_min(fn, *args), specfun.newton_min(fn, *args)
+        seen.append((fn.__name__, [v.hex() for v in want], [v.hex() for v in got]))
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, "newton_min", both)
+        yield seen
+
+
+def unequal(seen):
+    return [(name, want, got) for name, want, got in seen if want != got]
+
+
+class TestNewtonMin:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        m=st.sampled_from(range(2, 13, 2)),
+        gammas=st.lists(
+            st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.floats(0.0, 3.0)),
+            min_size=11,
+            max_size=11,
+        ),
+        delta=st.floats(0.0, 1.0, exclude_min=True),
+    )
+    def test_keeps_the_parent_iterates_on_thm4(self, m, gammas, delta):
+        # thm4's f = ln S - delta*x, and the cascade's g_k where one runs
+        with newton_against_parent(bounds) as seen:
+            thm4_exponent(MomentProfile(tuple(gammas[: m - 1])), delta)
+        assert unequal(seen) == []
+
+    @pytest.mark.parametrize(
+        "gammas,delta",
+        [
+            ((0.5027, 0.2657, 0.1438, 0.1091, 0.0547), 0.7384),
+            ((0.9, 0.3, 0.3, 0.3, 0.3, 0.3, 0.3), 0.5),
+        ],
+        ids=["m6", "m8"],
+    )
+    def test_keeps_the_parent_iterates_on_the_cascade(self, gammas, delta):
+        with newton_against_parent(bounds) as seen:
+            thm4_exponent(MomentProfile(gammas), delta)
+        assert {name for name, _, _ in seen} == {"f", "rising"}
+        assert unequal(seen) == []
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        p1=st.lists(st.floats(1e-3, 1.0), min_size=2, max_size=8),
+        p2=st.lists(st.floats(1e-3, 1.0), min_size=8, max_size=8),
+        frac=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    )
+    def test_keeps_the_parent_iterates_on_the_tilted_cumulants(self, p1, p2, frac):
+        # r = frac of the way across the support of V = -llr: near its edges
+        # the tilt t runs far out on either side
+        p2 = p2[: len(p1)]
+        pair = hyptest.HypothesisPair.from_probs(
+            [v / math.fsum(p1) for v in p1], [v / math.fsum(p2) for v in p2]
+        )
+        v = [-u for u in pair.mart12.llr.tolist()]
+        with newton_against_parent(hyptest) as seen:
+            hyptest.chernoff_information(pair)
+            hyptest.rate_function(pair, min(v) + frac * (max(v) - min(v)))
+        assert unequal(seen) == []

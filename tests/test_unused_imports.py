@@ -2,8 +2,9 @@
 every dataclass field it declares is read somewhere in the repository, the
 sites that form a tail exponent leave its probability to ``bounds.tail_bound``,
 only ``bounds.as_count`` decides what counts as an integer, only the domain
-helpers of ``bounds`` hold the delta and gamma rules, and hyptest's tilted
-kernel makes no numpy call."""
+helpers of ``bounds`` hold the delta and gamma rules, hyptest's tilted
+kernel makes no numpy call, and ``bounds`` and ``specfun`` add no float with
+the builtin ``sum``."""
 
 import ast
 import fnmatch
@@ -153,6 +154,20 @@ def test_checker_flags_min_and_exp_calls():
     tree = ast.parse(source)
     assert calls(tree, "min") == [3]
     assert calls(tree, "math.exp") == [3]
+
+
+def test_checker_flags_builtin_sum_alone():
+    tree = ast.parse("import math\nt = sum(v) + math.fsum(v) + np.sum(v)\n")
+    assert calls(tree, "sum") == [2]
+    assert calls(tree, "np.sum") == [2]
+
+
+@pytest.mark.parametrize("module", ["bounds.py", "specfun.py"])
+def test_scalar_layers_call_no_builtin_sum(module):
+    # from Python 3.12 sum() of floats is compensated, so its float is not the
+    # left-to-right loop's that the pinned bits were recorded from
+    tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
+    assert calls(tree, "sum") == []
 
 
 def test_cli_leaves_the_clamp_to_tail_bound():
