@@ -249,22 +249,21 @@ def thm3_exponent(spec: MartingaleSpec, alpha: float) -> ExponentValue:
 
 @functools.cache
 def _poly_plan(n: int) -> tuple:
-    """Per j0 = 0..n, the powers k = 0..n - j0 and terms of P_j0, P_j0+1, P_j0+2.
+    """Per j0 = 0..n, the powers k = 0..n - j0 and the terms of P_j0, P_j0+1, P_j0+2.
 
-    n = m - 1 ratios. The terms are a row per l >= max(2, j0): (l - 2, k0, k1,
-    k2, k0!, k1!, k2!) with k_i = l - j0 - i, where a k_i < 0 (no such term)
-    reads index -1, over 1.0; ``_SKernel.derivs`` keeps 0.0 there. k! is a
-    float up to k = 170 and the exact int past it, so a division by it raises
-    OverflowError as the direct sum's does.
+    n = m - 1 ratios. P_j's terms are (l - 2, k = l - j, k!) for l >= max(2, j).
+    k! is a float up to k = 170 and the exact int past it, so a division by it
+    raises OverflowError as the direct sum's does.
     """
     facts = [float(math.factorial(k)) if k <= 170 else math.factorial(k) for k in range(n + 1)]
-
-    def row(l, j0):
-        ks = [k if k >= 0 else -1 for k in (l - j0, l - j0 - 1, l - j0 - 2)]
-        return (l - 2, *ks, *(facts[k] if k >= 0 else 1.0 for k in ks))
-
     return tuple(
-        (range(n + 1 - j0), tuple(row(l, j0) for l in range(max(2, j0), n + 1)))
+        (
+            range(n + 1 - j0),
+            tuple(
+                tuple((l - 2, l - j, facts[l - j]) for l in range(max(2, j), n + 1))
+                for j in range(j0, j0 + 3)
+            ),
+        )
         for j0 in range(n + 1)
     )
 
@@ -285,26 +284,25 @@ class _SKernel:
         self._plan = _poly_plan(len(g))
 
     def derivs(self, x: float, j0: int):
-        """The derivatives P_j0, P_j0+1 and P_j0+2 of P, in one pass over l.
+        """The derivatives P_j0, P_j0+1 and P_j0+2 of P.
 
-        P_j adds its terms (gamma_l - gamma_m) * x**k / k!, k = l - j, to int 0
-        in ascending l, so it is the direct sum's float. The powers x**k,
-        k <= m - 1 - j0, are formed once for all three; a missing term adds
-        +-0.0, which leaves every sum's float as it is. A P_j with no terms
-        (all three at m = 2) is 0.
+        The powers x**k, k <= m - 1 - j0, are formed once for all three. P_j
+        adds its terms (gamma_l - gamma_m) * x**k / k!, k = l - j, to int 0 in
+        ascending l, so it is the direct sum's float; a P_j with no terms (all
+        three at m = 2) is int 0.
         """
         d = self._diffs
         if not d:
             return 0, 0, 0
-        powers, terms = self._plan[j0]
+        powers, (t0, t1, t2) = self._plan[j0]
         pw = [x**k for k in powers]
-        pw.append(0.0)
         p0 = p1 = p2 = 0
-        for i, k0, k1, k2, f0, f1, f2 in terms:
-            a = d[i]
-            p0 += a * pw[k0] / f0
-            p1 += a * pw[k1] / f1
-            p2 += a * pw[k2] / f2
+        for i, k, f in t0:
+            p0 += d[i] * pw[k] / f
+        for i, k, f in t1:
+            p1 += d[i] * pw[k] / f
+        for i, k, f in t2:
+            p2 += d[i] * pw[k] / f
         return p0, p1, p2
 
 

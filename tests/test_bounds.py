@@ -564,6 +564,7 @@ class TestThm4Cor4:
                     total += (g - gm) * x ** (l - j) / math.factorial(l - j)
             want.append(total)
         got = bounds._SKernel(MomentProfile(gammas)).derivs(x, j0)
+        assert [type(v) for v in got] == [type(v) for v in want]
         assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
 
     def test_poly_derivs_past_order_170_raise_the_int_overflow(self):
