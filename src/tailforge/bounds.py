@@ -39,15 +39,13 @@ class MartingaleSpec:
 
     d: float
     sigma2: float
+    gamma: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.d > 0.0:
             raise ValueError("jump bound d must be positive")
-        _unit_gamma(self.sigma2 / self.d**2 if self.d**2 > 0.0 else math.inf)
-
-    @property
-    def gamma(self) -> float:
-        return _unit_gamma(self.sigma2 / self.d**2)
+        gamma = _unit_gamma(self.sigma2 / self.d**2 if self.d**2 > 0.0 else math.inf)
+        object.__setattr__(self, "gamma", gamma)
 
     def delta(self, alpha: float) -> float:
         _delta_edge(alpha, "alpha")
@@ -60,13 +58,17 @@ class MomentProfile:
 
     ``gammas`` is the sequence (gamma_2, ..., gamma_m); m = len + 1 must be
     even. Values above 1 are admitted (they arise under the weaker
-    one-sided moment conditions); negatives and infinities are not.
+    one-sided moment conditions); negatives and infinities are not. The
+    profile holds Theorem 4's S kernel: the differences gamma_l - gamma_m and
+    the ``_poly_plan`` of their length, read by ``_derivs``.
     """
 
     gammas: Tuple[float, ...]
+    _diffs: Tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _plan: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        gammas = tuple(float(g) for g in self.gammas)
+        gammas = tuple(map(float, self.gammas))
         if len(gammas) < 1:
             raise ValueError("profile needs at least gamma_2")
         if (len(gammas) + 1) % 2 != 0:
@@ -76,6 +78,9 @@ class MomentProfile:
                 f"moment ratios must be finite and non-negative, got {gammas!r}"
             )
         object.__setattr__(self, "gammas", gammas)
+        gm = gammas[-1]
+        object.__setattr__(self, "_diffs", tuple([g - gm for g in gammas[:-1]]))
+        object.__setattr__(self, "_plan", _poly_plan(len(gammas)))
 
     @property
     def m(self) -> int:
@@ -93,6 +98,28 @@ class MomentProfile:
         if l < 2 or l > self.m:
             raise ValueError(f"l={l} outside 2..{self.m}")
         return self.gammas[l - 2]
+
+    def _derivs(self, x: float, j0: int):
+        """The derivatives P_j0, P_j0+1 and P_j0+2 of S's polynomial part P.
+
+        P(x) = sum_{2<=l<m} (gamma_l - gamma_m) x^l/l!, and the powers x**k,
+        k <= m - 1 - j0, are formed once for all three derivatives. P_j
+        adds its terms (gamma_l - gamma_m) * x**k / k!, k = l - j, to int 0 in
+        ascending l, so it is the direct sum's float; a P_j with no terms (all
+        three at m = 2) is int 0.
+        """
+        d, plan = self._diffs, self._plan
+        if not d:
+            return 0, 0, 0
+        pw = [x**k for k in range(len(d) + 2 - j0)]
+        p0 = p1 = p2 = 0
+        for i, k, f in plan[j0]:
+            p0 += d[i] * pw[k] / f
+        for i, k, f in plan[j0 + 1]:
+            p1 += d[i] * pw[k] / f
+        for i, k, f in plan[j0 + 2]:
+            p2 += d[i] * pw[k] / f
+        return p0, p1, p2
 
 
 @dataclass(frozen=True)
@@ -249,61 +276,17 @@ def thm3_exponent(spec: MartingaleSpec, alpha: float) -> ExponentValue:
 
 @functools.cache
 def _poly_plan(n: int) -> tuple:
-    """Per j0 = 0..n, the powers k = 0..n - j0 and the terms of P_j0, P_j0+1, P_j0+2.
+    """Per derivative order j = 0..n + 2, the terms of P_j for n = m - 1 ratios.
 
-    n = m - 1 ratios. P_j's terms are (l - 2, k = l - j, k!) for l >= max(2, j).
-    k! is a float up to k = 170 and the exact int past it, so a division by it
-    raises OverflowError as the direct sum's does.
+    P_j's terms are (l - 2, k = l - j, k!) for l = max(2, j)..n. k! is a float
+    up to k = 170 and the exact int past it, so a division by it raises
+    OverflowError as the direct sum's does.
     """
     facts = [float(math.factorial(k)) if k <= 170 else math.factorial(k) for k in range(n + 1)]
     return tuple(
-        (
-            range(n + 1 - j0),
-            tuple(
-                tuple((l - 2, l - j, facts[l - j]) for l in range(max(2, j), n + 1))
-                for j in range(j0, j0 + 3)
-            ),
-        )
-        for j0 in range(n + 1)
+        tuple((l - 2, l - j, facts[l - j]) for l in range(max(2, j), n + 1))
+        for j in range(n + 3)
     )
-
-
-class _SKernel:
-    """S's polynomial part P(x) = sum_{2<=l<m} (gamma_l - gamma_m) x^l/l! for one profile.
-
-    Built once per thm4, cor6 or cor4 call; it holds the ratios, gamma_m, the
-    differences gamma_l - gamma_m and the ``_poly_plan`` of their length.
-    """
-
-    __slots__ = ("gammas", "gm", "_diffs", "_plan")
-
-    def __init__(self, profile: MomentProfile):
-        self.gammas = g = profile.gammas
-        self.gm = gm = g[-1]
-        self._diffs = [v - gm for v in g[:-1]]
-        self._plan = _poly_plan(len(g))
-
-    def derivs(self, x: float, j0: int):
-        """The derivatives P_j0, P_j0+1 and P_j0+2 of P.
-
-        The powers x**k, k <= m - 1 - j0, are formed once for all three. P_j
-        adds its terms (gamma_l - gamma_m) * x**k / k!, k = l - j, to int 0 in
-        ascending l, so it is the direct sum's float; a P_j with no terms (all
-        three at m = 2) is int 0.
-        """
-        d = self._diffs
-        if not d:
-            return 0, 0, 0
-        powers, (t0, t1, t2) = self._plan[j0]
-        pw = [x**k for k in powers]
-        p0 = p1 = p2 = 0
-        for i, k, f in t0:
-            p0 += d[i] * pw[k] / f
-        for i, k, f in t1:
-            p1 += d[i] * pw[k] / f
-        for i, k, f in t2:
-            p2 += d[i] * pw[k] / f
-        return p0, p1, p2
 
 
 def _expm1_minus_x(x: float) -> float:
@@ -344,22 +327,22 @@ def _factored(gm: float, x: float, r: float) -> tuple[float | None, float, float
     return x + lg, gm, math.exp(-x) if x < 700.0 else 0.0
 
 
-def _log_mgf_bound(kernel: _SKernel, x: float, delta: float):
+def _log_mgf_bound(profile: MomentProfile, x: float, delta: float):
     """f(x) = ln S(x) - delta*x and its first two derivatives, from one pass.
 
     S(x) = 1 + P(x) + gamma_m(e^x-1-x) upper-bounds a conditional MGF, with P
-    and gamma_m from the call's ``_SKernel``; S >= 1 on x >= 0 as every
-    gamma_l >= 0. For x <= 30, ln S = log1p(S - 1) keeps small x's digits, as
-    does e^x - 1 - x's series below x = 0.1, where expm1(x) - x keeps only
-    about 2eps/x. Above x = 30, S = gamma_m e^x + r is split by ``_factored``
+    from the profile's ``_derivs``; S >= 1 on x >= 0 as every gamma_l >= 0.
+    For x <= 30, ln S = log1p(S - 1) keeps small x's digits, as does
+    e^x - 1 - x's series below x = 0.1, where expm1(x) - x keeps only about
+    2eps/x. Above x = 30, S = gamma_m e^x + r is split by ``_factored``
     so huge x never overflows and a tiny gamma_m loses no term, and the slope
     (S' - delta*S)/S has its gamma_m e^x terms cancelled by hand, so it keeps
     its sign when delta = 1. There ln S = lk + log1p(r e^-lk), lk = x + ln
     gamma_m, except where gamma_m e^x = e^lk < 1: S may then lie near 1 and
     the two terms cancel, so ln S is log1p(P + (e^lk - gamma_m(1 + x))).
     """
-    gm = kernel.gm
-    p0, p1, p2 = kernel.derivs(x, 0)
+    gm = profile.gammas[-1]
+    p0, p1, p2 = profile._derivs(x, 0)
     if x <= 30.0:
         em1 = math.expm1(x)
         u = p0 + gm * (_expm1_minus_x(x) if x < 0.1 else em1 - x)  # S - 1
@@ -380,10 +363,10 @@ def _log_mgf_bound(kernel: _SKernel, x: float, delta: float):
     return log_s - delta * x, slope, s2 / s - (slope + delta) ** 2
 
 
-def _slope_cuts(kernel: _SKernel, delta: float, ceiling: float) -> list:
+def _slope_cuts(profile: MomentProfile, delta: float, ceiling: float) -> list:
     """Points of (0, ceiling) between which S' - delta*S changes sign at most once.
 
-    For k >= 1, S^(k) = P_k + gamma_m e^x with P_k from ``_SKernel.derivs``
+    For k >= 1, S^(k) = P_k + gamma_m e^x with P_k from the profile's ``_derivs``
     (less gamma_m at k = 1), so g_k = S^(k+1) - delta*S^(k) has derivative
     g_{k+1}. Between two sign changes of g_{k+1}, g_k is monotone (Rolle), and
     ``newton_min`` finds its one sign change: from g_top, which has at most
@@ -393,7 +376,7 @@ def _slope_cuts(kernel: _SKernel, delta: float, ceiling: float) -> list:
     top is the last j with a_j < 0, or 0 (no cascade). Its float test holds at
     every such j, as rounding is monotone.
     """
-    gammas, gm = kernel.gammas, kernel.gm
+    gammas, gm = profile.gammas, profile.gamma_m
     for top in range(len(gammas), 1, -1):
         u = gammas[top - 2]
         if 0.0 < u and gammas[top - 1] <= delta * u:
@@ -402,7 +385,7 @@ def _slope_cuts(kernel: _SKernel, delta: float, ceiling: float) -> list:
         return []
 
     def g(k, x):  # g_k over the factor ``_factored`` takes out, and its slope
-        p0, p1, p2 = kernel.derivs(x, k)
+        p0, p1, p2 = profile._derivs(x, k)
         d0 = p1 - delta * (p0 - gm if k == 1 else p0)
         d1 = p2 - delta * p1
         lk, a, e = _factored(gm, x, d1 if abs(d1) > abs(d0) else d0)
@@ -431,13 +414,13 @@ def thm4_exponent(profile: MomentProfile, delta: float) -> ExponentValue:
     The m = 2, delta = 1 endpoint with gamma > 0 uses the closed form
     1/gamma - ln(gamma(e^{1/gamma} - 1)). Otherwise ln S - delta*x is minimised
     globally on [0, max(50, 4/gamma_m, 10/(1-delta))]: by ``newton_min`` on each
-    piece between ``_slope_cuts``, and at the ceiling, all from one
-    ``_SKernel``. A cut-finding level whose
-    Taylor coefficients gamma_{j+1} - delta*gamma_j are all >= 0 is >= 0 on
-    [0, inf), so has no sign change and is skipped; with none negative, one
-    ``newton_min`` runs on [0, ceiling]. ``params['at_ceiling']``
-    flags a minimizer pinned at the ceiling (the infimum may then sit at
-    x -> inf and the reported exponent is a valid lower bound of it).
+    piece between ``_slope_cuts``, and at the ceiling, all from the S kernel
+    the profile holds. A cut-finding level whose Taylor coefficients
+    gamma_{j+1} - delta*gamma_j are all >= 0 is >= 0 on [0, inf), so has no
+    sign change and is skipped; with none negative, one ``newton_min`` runs on
+    [0, ceiling]. ``params['at_ceiling']`` flags a minimizer pinned at the
+    ceiling (the infimum may then sit at x -> inf and the reported exponent is
+    a valid lower bound of it).
     """
     if (edge := _delta_edge(delta)) is not None:
         return edge
@@ -447,12 +430,11 @@ def thm4_exponent(profile: MomentProfile, delta: float) -> ExponentValue:
         return ExponentValue(_cor4_delta1(g2))
     ceiling = max(50.0, 4.0 / gm if gm > 0.0 else 0.0)
     ceiling = min(max(ceiling, 10.0 / (1.0 - delta) if delta < 1.0 else 0.0), 1e6)
-    kernel = _SKernel(profile)
 
     def f(x):
-        return _log_mgf_bound(kernel, x, delta)
+        return _log_mgf_bound(profile, x, delta)
 
-    pts = [0.0, *_slope_cuts(kernel, delta, ceiling), ceiling]
+    pts = [0.0, *_slope_cuts(profile, delta, ceiling), ceiling]
     fs = [f(x) for x in pts[1:]]
     x, fmin = ceiling, fs[-1][0]
     da = -delta  # f'(0) = -delta: S(0) = 1, S'(0) = 0
@@ -491,7 +473,7 @@ def cor4_exponent(gamma: float, delta: float) -> ExponentValue:
     if x <= 30.0:  # ln(1 + u), not log1p(u): pinned by the exp_small_delta_out golden
         e = delta * x - math.log(1.0 + gamma * (math.expm1(x) - x))
     else:
-        e = -_log_mgf_bound(_SKernel(MomentProfile((gamma,))), x, delta)[0]
+        e = -_log_mgf_bound(MomentProfile((gamma,)), x, delta)[0]
     return ExponentValue(max(0.0, e), {"x": x})
 
 
@@ -535,7 +517,7 @@ def cor6_suboptimal(profile: MomentProfile, delta: float):
     else:
         log_w = math.log(b / c) + (a + b) / c
         x = (a + b) / c - lambert_w0_exparg(log_w)
-    e = -_log_mgf_bound(_SKernel(profile), x, delta)[0]
+    e = -_log_mgf_bound(profile, x, delta)[0]
     return x, ExponentValue(max(0.0, e), {"x": x})
 
 

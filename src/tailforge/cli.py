@@ -481,7 +481,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         return args.func(args)
-    except (ConvergenceError, InfeasibleError) as exc:
+    except (ConvergenceError, InfeasibleError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OverflowError as exc:

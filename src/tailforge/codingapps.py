@@ -9,6 +9,7 @@ dimension of LDPC code ensembles.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -139,6 +140,9 @@ def channel_moment_profile(channel: DmcChannel, m: int):
     E0[(llr - D)^l]} / d^l for l = 2..m (odd moments are truncated at
     zero; even ones never need it). Returns (MomentProfile, D/d); both
     are 0 for identical rows (d = 0), where every base collapses to 1.
+    Raises FloatingPointError, before any moment is formed, where d^m
+    overflows or is not normal, as d^l would then overflow or round away
+    the bits of gamma_l.
     """
     m = bounds.as_count(m, "m", 2)
     if m % 2 != 0:
@@ -146,6 +150,14 @@ def channel_moment_profile(channel: DmcChannel, m: int):
     mart = LlrMartingale.of(channel.p0, channel.p1)
     if mart.d == 0.0:
         return MomentProfile((0.0,) * (m - 1)), 0.0
+    try:
+        normal = mart.d**m >= sys.float_info.min
+    except OverflowError:
+        normal = False
+    if not normal:
+        raise FloatingPointError(
+            f"moment order m={m}: d^m = {mart.d:.6g}^{m} is not a normal float"
+        )
     gammas = tuple(
         max(0.0, (-1.0) ** l * mart.moment(l)) / mart.d**l for l in range(2, m + 1)
     )

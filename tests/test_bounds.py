@@ -1,5 +1,6 @@
 """Martingale tail exponents: closed forms vs independent minimization oracles."""
 
+import dataclasses
 import json
 import math
 import re
@@ -127,6 +128,48 @@ class TestSpecTypes:
         p = MomentProfile((0.5, 0.4, 0.3))
         assert p.m == 4
         assert p.gamma(2) == 0.5 and p.gamma_m == 0.3
+
+    def test_stored_values_are_invisible_from_outside(self):
+        # gamma and the S kernel are derived at construction: equality, hash
+        # and repr see only the input fields
+        spec = MartingaleSpec(d=2.0, sigma2=1.0)
+        assert spec == MartingaleSpec(d=2.0, sigma2=1.0) != MartingaleSpec(d=2.0, sigma2=0.5)
+        assert hash(spec) == hash((2.0, 1.0))
+        assert repr(spec) == "MartingaleSpec(d=2.0, sigma2=1.0)"
+        profile = MomentProfile((0.5, 0.4, 0.3))
+        assert profile == MomentProfile([0.5, 0.4, 0.3]) != MomentProfile((0.5, 0.4, 0.2))
+        assert hash(profile) == hash(((0.5, 0.4, 0.3),))
+        assert repr(profile) == "MomentProfile(gammas=(0.5, 0.4, 0.3))"
+
+    def test_replace_recomputes_the_stored_values(self):
+        spec = dataclasses.replace(MartingaleSpec(d=2.0, sigma2=1.0), sigma2=2.0)
+        assert spec.gamma == 0.5
+        with pytest.raises(ValueError, match=re.escape("gamma must lie in (0, 1]")):
+            dataclasses.replace(spec, d=1.0)
+        for gammas in [(0.25,), (0.5, 0.4, 0.3), (0.9, 0.3, 0.3, 0.3, 0.3)]:
+            got = dataclasses.replace(MomentProfile((0.6, 0.1, 0.05)), gammas=gammas)
+            fresh = MomentProfile(gammas)
+            assert (got._diffs, got._plan) == (fresh._diffs, fresh._plan)
+            assert thm4_exponent(got, 0.3) == thm4_exponent(fresh, 0.3)
+
+    def test_a_reused_profile_keeps_every_bit(self):
+        # one profile across all the pinned deltas reads what a fresh profile
+        # per call reads
+        def hexed(x, ev):
+            params = {k: v if isinstance(v, bool) else v.hex() for k, v in ev.params.items()}
+            return x.hex(), ev.exponent.hex(), params
+
+        rows = THM4_BITS["rows"]
+        deltas = sorted({float.fromhex(r["delta"]) for r in rows})
+        for gammas in {tuple(float.fromhex(v) for v in r["gammas"]) for r in rows}:
+            profile = MomentProfile(gammas)
+            routes = [lambda p, d: (0.0, thm4_exponent(p, d))]
+            if gammas[0] > 0.0:
+                routes.append(cor6_suboptimal)
+            for delta in deltas:
+                for route in routes:
+                    got = hexed(*route(profile, delta))
+                    assert got == hexed(*route(MomentProfile(gammas), delta))
 
     @pytest.mark.parametrize(
         "gammas",
@@ -523,9 +566,9 @@ class TestThm4Cor4:
     @pytest.mark.parametrize("delta", [1e-6, 0.3])
     def test_continuity_at_series_switch(self, gammas, delta):
         # e^x - 1 - x is a series below x = 0.1 and expm1(x) - x from there
-        kernel = bounds._SKernel(MomentProfile(gammas))
-        below = bounds._log_mgf_bound(kernel, math.nextafter(0.1, 0.0), delta)
-        at = bounds._log_mgf_bound(kernel, 0.1, delta)
+        profile = MomentProfile(gammas)
+        below = bounds._log_mgf_bound(profile, math.nextafter(0.1, 0.0), delta)
+        at = bounds._log_mgf_bound(profile, 0.1, delta)
         for lo, hi in zip(below, at):
             assert abs(lo - hi) <= 1e-15 * abs(hi)
 
@@ -551,7 +594,7 @@ class TestThm4Cor4:
         j0=st.integers(0, 11),
     )
     def test_poly_derivs_equal_the_direct_sums_bit_for_bit(self, m, gammas, x, j0):
-        # each derivative of the kernel's P adds (gamma_l - gamma_m) x**(l-j)/(l-j)!
+        # each derivative of the profile's P adds (gamma_l - gamma_m) x**(l-j)/(l-j)!
         # to int 0 over ascending l, left to right: from Python 3.12 the builtin
         # sum() of floats is compensated, so it is no reference
         gammas, j0 = tuple(gammas[: m - 1]), j0 % m
@@ -563,7 +606,7 @@ class TestThm4Cor4:
                 if l >= j:
                     total += (g - gm) * x ** (l - j) / math.factorial(l - j)
             want.append(total)
-        got = bounds._SKernel(MomentProfile(gammas)).derivs(x, j0)
+        got = MomentProfile(gammas)._derivs(x, j0)
         assert [type(v) for v in got] == [type(v) for v in want]
         assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
 
@@ -629,16 +672,16 @@ class TestThm4Cor4:
     def test_cascade_starts_at_the_last_negative_coefficient(
         self, monkeypatch, gammas, delta, levels
     ):
-        # the cascade evaluates g_k through the kernel's derivs(x, k >= 1);
+        # the cascade evaluates g_k through the profile's _derivs(x, k >= 1);
         # levels whose coefficients are all >= 0 have no cut and are not run
-        seen, derivs = [], bounds._SKernel.derivs
+        seen, derivs = [], MomentProfile._derivs
 
-        def counted(kernel, x, j0):
+        def counted(profile, x, j0):
             if j0 >= 1:
                 seen.append(j0)
-            return derivs(kernel, x, j0)
+            return derivs(profile, x, j0)
 
-        monkeypatch.setattr(bounds._SKernel, "derivs", counted)
+        monkeypatch.setattr(MomentProfile, "_derivs", counted)
         thm4_exponent(MomentProfile(gammas), delta)
         assert list(dict.fromkeys(seen)) == levels
         assert cascade_start(gammas, delta) == max(levels, default=0)
@@ -730,9 +773,9 @@ class TestThm4Cor4:
         # f'(0) = -delta exactly (S(0) = 1, S'(0) = 0): thm4 reads no f(0)
         seen, log_mgf_bound = [], bounds._log_mgf_bound
 
-        def recorded(kernel, x, delta):
+        def recorded(profile, x, delta):
             seen.append(x)
-            return log_mgf_bound(kernel, x, delta)
+            return log_mgf_bound(profile, x, delta)
 
         monkeypatch.setattr(bounds, "_log_mgf_bound", recorded)
         cases = [

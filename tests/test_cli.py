@@ -296,6 +296,22 @@ class TestPairwiseCommand:
         assert "(34, " not in err  # the errno tuple of a math range error
 
     @pytest.mark.parametrize(
+        "p,m,d",
+        [("0.4", "1100", "0.486558"), ("0.1", "1000", "3.955")],
+        ids=["d-power-underflows", "d-power-overflows"],
+    )
+    def test_moment_order_past_the_normal_range_of_d_power_m(self, p, m, d):
+        # d^m is 0 or past the float range: a gamma_l was 0/0 (a
+        # ZeroDivisionError traceback), or numpy warned on overflow
+        code, out, err = run_process("pairwise", "--qary", "2", p, "--m", m)
+        assert code == 3
+        assert out == ""
+        assert err.splitlines() == [
+            f"numerical failure: moment order m={m}: d^m = {d}^{m} is not a normal float"
+        ]
+        assert "Traceback" not in err and "RuntimeWarning" not in err
+
+    @pytest.mark.parametrize(
         "argv,want",
         [
             (

@@ -2,9 +2,10 @@
 every dataclass field it declares is read somewhere in the repository, the
 sites that form a tail exponent leave its probability to ``bounds.tail_bound``,
 only ``bounds.as_count`` decides what counts as an integer, only the domain
-helpers of ``bounds`` hold the delta and gamma rules, hyptest's tilted
-kernel makes no numpy call, and ``bounds`` and ``specfun`` add no float with
-the builtin ``sum``."""
+helpers of ``bounds`` hold the delta and gamma rules, the values a ``bounds``
+record derives are formed only where it is built, hyptest's tilted kernel makes
+no numpy call, and ``bounds`` and ``specfun`` add no float with the builtin
+``sum``."""
 
 import ast
 import fnmatch
@@ -288,6 +289,74 @@ def test_domain_rules_live_in_the_bounds_helpers():
     helpers = [n.name for n in tree.body if isinstance(n, ast.FunctionDef)]
     assert set(DOMAIN_HELPERS) <= set(helpers)
     assert domain_rule_sites(source) == []
+
+
+def qualified_sites(source: str, matches) -> list[str]:
+    """The enclosing "Class.function" or "function" of each node ``matches`` accepts."""
+    sites = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}" if where else node.name
+        if matches(node):
+            sites.append(where or "<module>")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "")
+    return sites
+
+
+def plans_the_s_kernel(node: ast.AST) -> bool:
+    return isinstance(node, ast.Call) and ast.unparse(node.func) == "_poly_plan"
+
+
+def divides_sigma2(node: ast.AST) -> bool:
+    """sigma2 / ..., with sigma2 a name or an attribute: gamma = sigma^2/d^2."""
+    return (
+        isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Div)
+        and ast.unparse(node.left).rsplit(".", 1)[-1] == "sigma2"
+    )
+
+
+def test_checker_flags_derived_values_formed_per_call():
+    source = (
+        "class Spec:\n"
+        "    def __post_init__(self):\n"
+        "        self.g = self.sigma2 / self.d**2\n"
+        "    @property\n"
+        "    def gamma(self):\n"
+        "        return self.sigma2 / self.d**2\n"
+        "class Kernel:\n"
+        "    def __init__(self, profile):\n"
+        "        self.plan = _poly_plan(len(profile))\n"
+        "def route(sigma2, d):\n"
+        "    return sigma2 / d**2, d / sigma2, _poly_plan\n"
+    )
+    assert qualified_sites(source, plans_the_s_kernel) == ["Kernel.__init__"]
+    assert qualified_sites(source, divides_sigma2) == [
+        "Spec.__post_init__",
+        "Spec.gamma",
+        "route",
+    ]
+
+
+def test_records_form_their_derived_values_once():
+    # the S kernel's plan and gamma belong to the profile and the spec, built
+    # at construction, not rebuilt on every route call
+    found = {
+        check.__name__: [
+            f"{path.name}:{site}"
+            for path in sorted(SRC.glob("*.py"))
+            for site in qualified_sites(path.read_text(encoding="utf-8"), check)
+        ]
+        for check in (plans_the_s_kernel, divides_sigma2)
+    }
+    assert found == {
+        "plans_the_s_kernel": ["bounds.py:MomentProfile.__post_init__"],
+        "divides_sigma2": ["bounds.py:MartingaleSpec.__post_init__"],
+    }
 
 
 def test_checker_flags_an_unread_field():
