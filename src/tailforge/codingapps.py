@@ -9,8 +9,7 @@ dimension of LDPC code ensembles.
 from __future__ import annotations
 
 import math
-import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -39,10 +38,12 @@ class DmcChannel:
     p0: FinitePmf
     p1: FinitePmf
     sym: tuple[int, ...]
+    mart: LlrMartingale = field(init=False, repr=False, compare=False)  # p0 against p1
 
     def __post_init__(self):
         object.__setattr__(self, "outputs", tuple(self.outputs))
-        object.__setattr__(self, "sym", tuple(int(i) for i in self.sym))
+        sym = tuple(bounds.as_count(i, "sym entry", 0) for i in self.sym)
+        object.__setattr__(self, "sym", sym)
         n = len(self.outputs)
         if self.p0.symbols != self.outputs or self.p1.symbols != self.outputs:
             raise ValueError("row alphabets must match the output alphabet")
@@ -58,6 +59,7 @@ class DmcChannel:
                     f"symmetry violated at output {self.outputs[y]}: "
                     f"p0={self.p0.probs[y]} vs p1[sym]={self.p1.probs[self.sym[y]]}"
                 )
+        object.__setattr__(self, "mart", LlrMartingale.of(self.p0, self.p1))
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "DmcChannel":
@@ -77,7 +79,7 @@ class DmcChannel:
                 rows.append(FinitePmf(outputs, tuple(float(v) for v in obj[key])))
             except ValueError as exc:
                 raise ValueError(f"channel JSON field {key!r}: {exc}") from exc
-        return cls(outputs, *rows, tuple(int(i) for i in obj["sym"]))
+        return cls(outputs, *rows, obj["sym"])
 
 
 def q_ary_channel(q: int, p: float) -> DmcChannel:
@@ -122,46 +124,24 @@ def bhattacharyya(channel: DmcChannel) -> PairwiseBound:
 def z1(channel: DmcChannel) -> PairwiseBound:
     """Divergence-route base Z1 = exp(-D((delta+gamma)/(1+gamma)||gamma/(1+gamma))).
 
-    gamma and delta are those of ``channel_moment_profile(channel, 2)``:
-    the pairwise-error martingale's conditional variance over d^2 and D/d,
-    with jump bound d = max_y |llr(y) - D|. Equals Z_B exactly on the BSC.
+    gamma = gamma_2 and delta = D/d of ``channel_moment_profile(channel, 2)`` are
+    hyptest's gamma1 and delta11 at a zero threshold. Equals Z_B on the BSC.
     """
     profile, delta = channel_moment_profile(channel, 2)
     return PairwiseBound(base=math.exp(-divergence_exponent(profile.gamma2, delta)))
 
 
 def channel_moment_profile(channel: DmcChannel, m: int):
-    """One-sided moment profile of the pairwise-error martingale jumps.
+    """(MomentProfile(``channel.mart.ratios(m)``), D/d), a zero-threshold H1 profile.
 
-    That martingale is pmf's LlrMartingale of P(.|0) against P(.|1):
-    llr = ln(P(y|0)/P(y|1)), D its mean, d = max_y |llr - D|. Output
-    symmetry pairs each llr value with its negative, so d equals the
-    paper's max_y |ln(P(y|1)/P(y|0))| + D. gamma_l = max{0, (-1)^l
-    E0[(llr - D)^l]} / d^l for l = 2..m (odd moments are truncated at
-    zero; even ones never need it). Returns (MomentProfile, D/d); both
-    are 0 for identical rows (d = 0), where every base collapses to 1.
-    Raises FloatingPointError, before any moment is formed, where d^m
-    overflows or is not normal, as d^l would then overflow or round away
-    the bits of gamma_l.
+    llr = ln(P(y|0)/P(y|1)) has mean D and jumps |llr - D| <= d, which output symmetry
+    makes the paper's max_y |ln(P(y|1)/P(y|0))| + D. Both are 0 for identical rows.
     """
     m = bounds.as_count(m, "m", 2)
     if m % 2 != 0:
         raise ValueError("m must be an even integer >= 2")
-    mart = LlrMartingale.of(channel.p0, channel.p1)
-    if mart.d == 0.0:
-        return MomentProfile((0.0,) * (m - 1)), 0.0
-    try:
-        normal = mart.d**m >= sys.float_info.min
-    except OverflowError:
-        normal = False
-    if not normal:
-        raise FloatingPointError(
-            f"moment order m={m}: d^m = {mart.d:.6g}^{m} is not a normal float"
-        )
-    gammas = tuple(
-        max(0.0, (-1.0) ** l * mart.moment(l)) / mart.d**l for l in range(2, m + 1)
-    )
-    return MomentProfile(gammas), mart.D / mart.d
+    mart = channel.mart
+    return MomentProfile(mart.ratios(m)), (mart.D / mart.d if mart.d else 0.0)
 
 
 def z2m(channel: DmcChannel, m: int) -> PairwiseBound:

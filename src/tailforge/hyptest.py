@@ -185,25 +185,24 @@ def martingale_params(
 ) -> MartingaleParams:
     """Compute d_i, sigma_i^2, gamma_i and the per-event deltas.
 
-    Default thresholds are the single zero threshold. d_i, D(P1||P2),
-    D(P2||P1) and the centred sigma1^2 come from the pair's log-LR
-    martingales. sigma2^2 = E_P2[(ln(P2/P1) + D(P2||P1))^2] is not the
-    centred variance; this convention is what the reference exponent values
-    (e.g. gamma2 = 7/9 for the swapped (0.4, 0.6) pair) pin down, and it
-    only lowers the resulting lower bounds, so validity is preserved.
+    Default thresholds are the single zero threshold. d_i, D(P1||P2), D(P2||P1),
+    the centred sigma1^2 and gamma1 = ``mart12.ratios(2)[0]`` (Z1's gamma for a
+    channel) come from the pair's log-LR martingales. sigma2^2 =
+    E_P2[(ln(P2/P1) + D(P2||P1))^2] is not the centred variance; this convention
+    is what the reference exponent values (e.g. gamma2 = 7/9 for the swapped
+    (0.4, 0.6) pair) pin down, and it only lowers the resulting lower bounds.
     """
     if thresholds is None:
         thresholds = Thresholds.single(0.0)
     thresholds.validate_for(pair)
     m12, m21 = pair.mart12, pair.mart21
     d12, d21, d1, d2 = m12.D, m21.D, m12.d, m21.d
-    sigma1sq = m12.moment(2)
     sigma2sq = float(np.dot(m21.probs, (m21.llr + d21) ** 2))
     return MartingaleParams(
         d1=d1,
         d2=d2,
-        sigma1sq=sigma1sq,
-        gamma1=sigma1sq / d1**2,
+        sigma1sq=m12.moment(2),
+        gamma1=m12.ratios(2)[0],
         gamma2=sigma2sq / d2**2,
         delta11=(d12 - thresholds.lambda_bar) / d1,
         delta21=(d21 + thresholds.lambda_under) / d2,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -89,3 +90,22 @@ class LlrMartingale:
     def moment(self, l: int) -> float:
         """Centred moment E_P[(llr - D)^l]."""
         return float(np.dot(self.probs, (self.llr - self.D) ** l))
+
+    def ratios(self, m: int) -> Tuple[float, ...]:
+        """Theorem 4's gamma_l = max{0, (-1)^l E_P[(llr - D)^l]} / d^l, l = 2..m.
+
+        All 0 at d = 0; FloatingPointError, before any moment, where d^m is not normal.
+        """
+        if self.d == 0.0:
+            return (0.0,) * (m - 1)
+        try:
+            normal = self.d**m >= sys.float_info.min
+        except OverflowError:
+            normal = False
+        if not normal:
+            raise FloatingPointError(
+                f"moment order m={m}: d^m = {self.d:.6g}^{m} is not a normal float"
+            )
+        return tuple(
+            max(0.0, (-1.0) ** l * self.moment(l)) / self.d**l for l in range(2, m + 1)
+        )

@@ -246,6 +246,21 @@ class TestPairwiseCommand:
         assert code == 2
         assert "p0" in err
 
+    @pytest.mark.parametrize(
+        "sym,shown", [([2.9, 1.2, 0.4], "2.9"), (["2", "1", "0"], "'2'")], ids=["float", "str"]
+    )
+    def test_non_integer_sym_entry(self, capsys, tmp_path, sym, shown):
+        # int() once truncated or parsed these into the valid involution (2, 1, 0)
+        cfg = tmp_path / "sym.json"
+        cfg.write_text(
+            json.dumps(
+                {"outputs": [0, 1, 2], "p0": [0.7, 0.2, 0.1], "p1": [0.1, 0.2, 0.7], "sym": sym}
+            )
+        )
+        code, out, err = run_cli(capsys, "pairwise", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err == f"config error: sym entry must be an integer, got {shown}\n"
+
     def test_not_json(self, capsys, tmp_path):
         cfg = tmp_path / "nope.json"
         cfg.write_text("{broken")

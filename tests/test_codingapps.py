@@ -1,5 +1,6 @@
 """Channel, OFDM and LDPC applications against closed forms and oracles."""
 
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tailforge import bounds
+from tailforge import bounds, cli
 from tailforge.codingapps import (
     _GRID_FACTOR,
     DmcChannel,
@@ -85,6 +86,38 @@ class TestChannelConstruction:
             )
         with pytest.raises(ValueError, match="missing"):
             DmcChannel.from_json({"outputs": [0, 1]})
+
+    def test_stored_martingale_is_invisible_from_outside(self):
+        # mart is derived at construction: equality, hash and repr see only the
+        # input fields
+        ch = q_ary_channel(3, 0.05)
+        same = DmcChannel(ch.outputs, ch.p0, ch.p1, ch.sym)
+        assert ch == same != q_ary_channel(3, 0.04)
+        assert hash(ch) == hash(same) == hash((ch.outputs, ch.p0, ch.p1, ch.sym))
+        assert repr(ch) == (
+            f"DmcChannel(outputs={ch.outputs!r}, p0={ch.p0!r}, p1={ch.p1!r}, sym={ch.sym!r})"
+        )
+
+    def test_replace_rebuilds_the_martingale(self):
+        ch, other = q_ary_channel(3, 0.05), q_ary_channel(3, 0.04)
+        got = dataclasses.replace(ch, p0=other.p0, p1=other.p1)
+        assert list(got.mart.llr) == list(other.mart.llr)
+        assert (got.mart.D, got.mart.d) == (other.mart.D, other.mart.d)
+        assert channel_moment_profile(got, 6) == channel_moment_profile(other, 6)
+
+    def test_pairwise_builds_one_martingale_per_channel(self, capsys, monkeypatch):
+        # z1 and every z2_m and z2tilde_m column once built their own
+        of, built = LlrMartingale.of.__func__, []
+
+        def counted(cls, p, q):
+            built.append((p, q))
+            return of(cls, p, q)
+
+        monkeypatch.setattr(LlrMartingale, "of", classmethod(counted))
+        argv = ["pairwise", "--qary", "2,3", "0.04", "--m", "2,4,6", "--tilde"]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().err == ""
+        assert len(built) == 2
 
 
 class TestBhattacharyya:
@@ -177,9 +210,13 @@ class TestMomentProfile:
         config = DmcChannel.from_json(json.loads(BENCH_CHANNEL.read_text()))
         for ch in TABLE_CHANNELS + [config]:
             profile, delta = channel_moment_profile(ch, 2)
-            mp = martingale_params(HypothesisPair(ch.p0, ch.p1))
+            pair = HypothesisPair(ch.p0, ch.p1)
+            mp = martingale_params(pair)
             assert mp.gamma1 == profile.gamma2
             assert mp.delta11 == delta
+            # the order-m profile is the H1 martingale's too
+            for m in range(2, 13, 2):
+                assert channel_moment_profile(ch, m)[0].gammas == pair.mart12.ratios(m)
             # the paper's jump bound max_y |ln(P(y|1)/P(y|0))| + D
             p0, p1 = ch.p0.as_array(), ch.p1.as_array()
             div = float(np.dot(p0, np.log(p0 / p1)))

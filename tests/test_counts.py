@@ -15,6 +15,7 @@ LAW = validate.two_point_increment(1.0, 0.3)
 LAMBDA, RHO = (0.0, 0.0, 1.0), (0.0,) * 5 + (1.0,)
 PAIR = hyptest.HypothesisPair.from_probs((0.4, 0.6), (0.6, 0.4))
 OFDM = codingapps.OfdmModel(n=4, M=4)
+BSC = codingapps.bsc(0.1)
 
 # (argument name as the message gives it, least, a valid value, call)
 ENTRY_POINTS = {
@@ -65,6 +66,10 @@ ENTRY_POINTS = {
         "k", 1, 20, lambda v: validate.example3_comparison(0.1, 1.0, 0.5, v)
     ),
     "q_ary_channel": ("q", 2, 3, lambda v: codingapps.q_ary_channel(v, 0.1)),
+    "DmcChannel-sym": (
+        "sym entry", 0, 0,
+        lambda v: codingapps.DmcChannel(BSC.outputs, BSC.p0, BSC.p1, (1, v)),
+    ),
     "PairwiseBound.prob": (
         "Hamming weight h", 0, 7, lambda v: codingapps.PairwiseBound(0.5).prob(v)
     ),

@@ -3,7 +3,9 @@ every dataclass field it declares is read somewhere in the repository, the
 sites that form a tail exponent leave its probability to ``bounds.tail_bound``,
 only ``bounds.as_count`` decides what counts as an integer, only the domain
 helpers of ``bounds`` hold the delta and gamma rules, the values a ``bounds``
-record derives are formed only where it is built, hyptest's tilted kernel makes
+record derives are formed only where it is built, each pair of laws builds its
+LLR martingale only in its record and reads its moments only through
+``LlrMartingale.ratios`` (and hyptest's sigma1^2), hyptest's tilted kernel makes
 no numpy call, and ``bounds`` and ``specfun`` add no float with the builtin
 ``sum``."""
 
@@ -320,6 +322,19 @@ def divides_sigma2(node: ast.AST) -> bool:
     )
 
 
+def builds_an_llr_martingale(node: ast.AST) -> bool:
+    return isinstance(node, ast.Call) and ast.unparse(node.func) == "LlrMartingale.of"
+
+
+def reads_a_moment(node: ast.AST) -> bool:
+    """``<anything>.moment(...)``: a centred LLR moment, Theorem 4's ratio input."""
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "moment"
+    )
+
+
 def test_checker_flags_derived_values_formed_per_call():
     source = (
         "class Spec:\n"
@@ -333,6 +348,15 @@ def test_checker_flags_derived_values_formed_per_call():
         "        self.plan = _poly_plan(len(profile))\n"
         "def route(sigma2, d):\n"
         "    return sigma2 / d**2, d / sigma2, _poly_plan\n"
+        "class Channel:\n"
+        "    def __post_init__(self):\n"
+        "        self.mart = LlrMartingale.of(self.p0, self.p1)\n"
+        "class LlrMartingale:\n"
+        "    def ratios(self, m):\n"
+        "        return [self.moment(l) / self.d**l for l in range(2, m + 1)]\n"
+        "def profile(channel, m):\n"
+        "    mart = LlrMartingale.of(channel.p0, channel.p1)\n"
+        "    return [mart.moment(l) / mart.d**l for l in range(2, m + 1)]\n"
     )
     assert qualified_sites(source, plans_the_s_kernel) == ["Kernel.__init__"]
     assert qualified_sites(source, divides_sigma2) == [
@@ -340,22 +364,36 @@ def test_checker_flags_derived_values_formed_per_call():
         "Spec.gamma",
         "route",
     ]
+    assert qualified_sites(source, builds_an_llr_martingale) == [
+        "Channel.__post_init__",
+        "profile",
+    ]
+    assert qualified_sites(source, reads_a_moment) == ["LlrMartingale.ratios", "profile"]
 
 
 def test_records_form_their_derived_values_once():
-    # the S kernel's plan and gamma belong to the profile and the spec, built
-    # at construction, not rebuilt on every route call
+    # the S kernel's plan and gamma belong to the profile and the spec, and an
+    # LLR martingale to its channel or hypothesis pair, built at construction,
+    # not rebuilt on every route call; Theorem 4's LLR ratios are formed only in
+    # LlrMartingale.ratios, and hyptest reads sigma1^2 itself
+    checks = (plans_the_s_kernel, divides_sigma2, builds_an_llr_martingale, reads_a_moment)
     found = {
         check.__name__: [
             f"{path.name}:{site}"
             for path in sorted(SRC.glob("*.py"))
             for site in qualified_sites(path.read_text(encoding="utf-8"), check)
         ]
-        for check in (plans_the_s_kernel, divides_sigma2)
+        for check in checks
     }
     assert found == {
         "plans_the_s_kernel": ["bounds.py:MomentProfile.__post_init__"],
         "divides_sigma2": ["bounds.py:MartingaleSpec.__post_init__"],
+        "builds_an_llr_martingale": [
+            "codingapps.py:DmcChannel.__post_init__",
+            "hyptest.py:HypothesisPair.__post_init__",
+            "hyptest.py:HypothesisPair.__post_init__",
+        ],
+        "reads_a_moment": ["hyptest.py:martingale_params", "pmf.py:LlrMartingale.ratios"],
     }
 
 
