@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 import sys
 from dataclasses import dataclass, field
@@ -176,6 +177,22 @@ def as_count(value, name: str, least: int = 1) -> int:
     if value > sys.float_info.max:
         raise ValueError(f"{name} must lie in [{least}, {sys.float_info.max:g}]")
     return value
+
+
+def as_real(value, name: str) -> float:
+    """value as a float: a Python or numpy int or float, NaN and +-inf included.
+
+    A bool, string, None or container, or an int past the float range, raises
+    ValueError naming ``name``; each record keeps its own range checks.
+    """
+    if type(value) is float:  # the common case, before the slower ABC check
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must have magnitude <= {sys.float_info.max:g}") from None
 
 
 def tail_bound(value: ExponentValue, n: int, two_sided: bool = True) -> float:

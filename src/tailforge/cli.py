@@ -18,6 +18,7 @@ import sys
 
 from . import bounds
 from .bounds import MartingaleSpec
+from .pmf import FinitePmf
 from .specfun import ConvergenceError, InfeasibleError, f_delta
 
 LN2 = math.log(2.0)
@@ -70,8 +71,8 @@ def _emit(columns, rows, args, exponent_columns=()):
         sys.stdout.write(payload)
 
 
-def _load_json(path: str) -> dict:
-    """Every JSON input format is an object; anything else is a config error."""
+def _load_json(path: str, what: str, *required: str) -> dict:
+    """The JSON object of the input format ``what`` at ``path`` (see ``_fields``)."""
     try:
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -79,9 +80,47 @@ def _load_json(path: str) -> dict:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+    return _fields(obj, what, *required)
+
+
+def _fields(obj, what: str, *required: str) -> dict:
+    """obj, a JSON object holding each required field; other fields are ignored."""
     if not isinstance(obj, dict):
-        raise ConfigError(f"{path} must hold a JSON object")
+        raise ConfigError(f"{what} must hold a JSON object")
+    for key in required:
+        if key not in obj:
+            raise ConfigError(f"{what} missing field {key!r}")
     return obj
+
+
+def _pmf(obj: dict, what: str, key: str, symbols=None) -> FinitePmf:
+    """FinitePmf of field ``key`` on ``symbols`` (default 0..n-1); errors name it."""
+    try:
+        return FinitePmf(range(len(obj[key])) if symbols is None else symbols, obj[key])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{what} field {key!r}: {exc}") from exc
+
+
+def _read_channel(path: str):
+    """The channel JSON at ``path`` as a codingapps.DmcChannel."""
+    from .codingapps import DmcChannel
+    obj = _load_json(path, "channel JSON", "outputs", "p0", "p1", "sym")
+    try:
+        outputs = tuple(obj["outputs"])
+        p0, p1 = (_pmf(obj, "channel JSON", key, outputs) for key in ("p0", "p1"))
+        return DmcChannel(outputs, p0, p1, obj["sym"])
+    except TypeError as exc:  # outputs or sym is not a list
+        raise ConfigError(f"channel JSON: {exc}") from exc
+
+
+def _read_ldpc(path: str):
+    """The LDPC ensemble JSON at ``path`` as a codingapps.LdpcEnsemble."""
+    from .codingapps import LdpcEnsemble
+    obj = _load_json(path, "LDPC JSON", "n", "lambda", "rho")
+    try:
+        return LdpcEnsemble(obj["n"], obj["lambda"], obj["rho"])
+    except TypeError as exc:  # lambda or rho is not a list
+        raise ConfigError(f"LDPC JSON: {exc}") from exc
 
 
 def _parse_grid(spec: str):
@@ -124,18 +163,16 @@ def _parse_float_list(spec: str):
 
 
 def cmd_exponents(args) -> int:
-    gammas = [args.gamma] if args.gamma is not None else None
-    deltas = _parse_grid(args.grid) if args.grid else None
-    if args.config:
-        cfg = _load_json(args.config)
-        for key in ("gamma", "delta"):
-            if not isinstance(cfg.get(key, []), list):
-                raise ConfigError(f"config field {key!r} must be a list")
-        try:
-            gammas = [float(g) for g in cfg.get("gamma", gammas or [])]
-            deltas = [float(d) for d in cfg.get("delta", deltas or [])]
-        except TypeError as exc:
-            raise ConfigError(f"config gamma/delta entries: {exc}") from exc
+    gammas = [args.gamma] if args.gamma is not None else []
+    deltas = _parse_grid(args.grid) if args.grid else []
+    cfg = _load_json(args.config, "exponents config") if args.config else {}
+    for key, flag, values in (("gamma", "--gamma", gammas), ("delta", "--grid", deltas)):
+        entries = cfg.get(key, [])
+        if key in cfg and values:
+            raise ConfigError(f"{flag} applies only without a {key!r} list in --config")
+        if not isinstance(entries, list):
+            raise ConfigError(f"config field {key!r} must be a list")
+        values.extend(bounds.as_real(v, f"config field {key!r} entry") for v in entries)
     if not gammas:
         raise ConfigError("need --gamma or a config with a 'gamma' list")
     if not deltas:
@@ -169,11 +206,7 @@ def cmd_pairwise(args) -> int:
     if args.config:
         if args.qary:
             raise ConfigError("--qary applies only without --config")
-        obj = _load_json(args.config)
-        try:
-            channels = [("config", codingapps.DmcChannel.from_json(obj))]
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
+        channels = [("config", _read_channel(args.config))]
     elif args.qary:
         qspec, p = args.qary
         try:
@@ -212,19 +245,12 @@ def _pair_from_args(args):
     if args.config:
         if args.p1 or args.p2 or args.thresholds:
             raise ConfigError("--p1, --p2 and --thresholds apply only without --config")
-        cfg = _load_json(args.config)
-        for key in ("p1", "p2"):
-            if key not in cfg:
-                raise ConfigError(f"hypothesis config missing field {key!r}")
-        try:
-            pair = HypothesisPair.from_probs(cfg["p1"], cfg["p2"])
-            if "thresholds" in cfg:
-                t = cfg["thresholds"]
-                thresholds = Thresholds(
-                    float(t["lambda_bar"]), float(t["lambda_under"])
-                )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"hypothesis config: {exc}") from exc
+        cfg = _load_json(args.config, "hypothesis config", "p1", "p2")
+        pair = HypothesisPair(*(_pmf(cfg, "hypothesis config", k) for k in ("p1", "p2")))
+        if "thresholds" in cfg:
+            keys = ("lambda_bar", "lambda_under")
+            t = _fields(cfg["thresholds"], "hypothesis config field 'thresholds'", *keys)
+            thresholds = Thresholds(*(t[key] for key in keys))
         return pair, thresholds
     if args.p1 and args.p2:
         pair = HypothesisPair.from_probs(
@@ -286,10 +312,7 @@ def cmd_ldpc(args) -> int:
             raise ConfigError("--n applies only to --regular")
         if args.regular:
             raise ConfigError("--regular applies only without --config")
-        try:
-            ens = codingapps.LdpcEnsemble.from_json(_load_json(args.config))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
+        ens = _read_ldpc(args.config)
     elif args.regular:
         try:
             dv, dc = (int(v) for v in args.regular.split(","))
@@ -362,10 +385,10 @@ def cmd_simulate(args) -> int:
     else:
         if two_point != (None, None, None):
             raise ConfigError("--eps, --d and --x apply only to the two-point law")
-        cfg = _load_json(args.law)
+        cfg = _load_json(args.law, "increment-law JSON", "values", "probs")
         try:
-            law = validate.IncrementLaw(tuple(cfg["values"]), tuple(cfg["probs"]))
-        except (KeyError, TypeError, ValueError) as exc:
+            law = validate.IncrementLaw(cfg["values"], cfg["probs"])
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"increment-law JSON: {exc}") from exc
         if args.threshold is None:
             raise ConfigError("custom law simulation requires --threshold")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -60,26 +60,6 @@ class DmcChannel:
                     f"p0={self.p0.probs[y]} vs p1[sym]={self.p1.probs[self.sym[y]]}"
                 )
         object.__setattr__(self, "mart", LlrMartingale.of(self.p0, self.p1))
-
-    @classmethod
-    def from_json(cls, obj: Mapping) -> "DmcChannel":
-        for key in ("outputs", "p0", "p1", "sym"):
-            if key not in obj:
-                raise ValueError(f"channel JSON missing field {key!r}")
-        outputs = tuple(obj["outputs"])
-        for key in ("p0", "p1", "sym"):
-            if len(obj[key]) != len(outputs):
-                raise ValueError(
-                    f"channel JSON field {key!r}: expected {len(outputs)} entries, "
-                    f"got {len(obj[key])}"
-                )
-        rows = []
-        for key in ("p0", "p1"):
-            try:
-                rows.append(FinitePmf(outputs, tuple(float(v) for v in obj[key])))
-            except ValueError as exc:
-                raise ValueError(f"channel JSON field {key!r}: {exc}") from exc
-        return cls(outputs, *rows, obj["sym"])
 
 
 def q_ary_channel(q: int, p: float) -> DmcChannel:
@@ -174,7 +154,7 @@ class LdpcEnsemble:
     def __post_init__(self):
         object.__setattr__(self, "n", bounds.as_count(self.n, "block length n"))
         for name, coeffs in (("lambda", self.lambda_coeffs), ("rho", self.rho_coeffs)):
-            coeffs = tuple(float(c) for c in coeffs)
+            coeffs = tuple(bounds.as_real(c, f"{name} entry") for c in coeffs)
             if not coeffs or not all(c >= 0.0 for c in coeffs):  # NaN fails
                 raise ValueError(f"{name} coefficients must be non-negative")
             if not abs(math.fsum(coeffs) - 1.0) <= 1e-9:
@@ -191,13 +171,6 @@ class LdpcEnsemble:
         rho = [0.0] * dc
         rho[dc - 1] = 1.0
         return cls(n, tuple(lam), tuple(rho))
-
-    @classmethod
-    def from_json(cls, obj: Mapping) -> "LdpcEnsemble":
-        for key in ("n", "lambda", "rho"):
-            if key not in obj:
-                raise ValueError(f"LDPC JSON missing field {key!r}")
-        return cls(obj["n"], tuple(obj["lambda"]), tuple(obj["rho"]))
 
     @staticmethod
     def _integral(coeffs: Sequence[float]) -> float:

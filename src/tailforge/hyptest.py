@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .bounds import ExponentValue, as_count, divergence_exponent
+from .bounds import ExponentValue, as_count, as_real, divergence_exponent
 from .pmf import FinitePmf, LlrMartingale
 from .specfun import newton_min
 
@@ -66,6 +66,8 @@ class Thresholds:
     lambda_under: float
 
     def __post_init__(self):
+        for name in ("lambda_bar", "lambda_under"):
+            object.__setattr__(self, name, as_real(getattr(self, name), name))
         if self.lambda_under > self.lambda_bar:
             raise ValueError("lambda_under must not exceed lambda_bar")
 

@@ -9,6 +9,8 @@ from typing import Tuple
 
 import numpy as np
 
+from .bounds import as_real
+
 PROB_SUM_TOL = 1e-9
 
 
@@ -30,7 +32,7 @@ class FinitePmf:
 
     def __post_init__(self):
         symbols = tuple(self.symbols)
-        probs = tuple(float(p) for p in self.probs)
+        probs = tuple(as_real(p, "probs entry") for p in self.probs)
         if len(symbols) != len(probs):
             raise ValueError("symbols and probs must have equal length")
         if len(symbols) == 0:

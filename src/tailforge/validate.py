@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import ExponentValue, as_count, divergence_exponent, tail_bound
+from .bounds import ExponentValue, as_count, as_real, divergence_exponent, tail_bound
 from .pmf import FinitePmf
 from .specfun import InfeasibleError, binary_divergence
 
@@ -43,7 +43,7 @@ class IncrementLaw:
     probs: tuple[float, ...]
 
     def __post_init__(self):
-        values = tuple(float(v) for v in self.values)
+        values = tuple(as_real(v, "values entry") for v in self.values)
         if not all(map(math.isfinite, values)):
             raise ValueError(f"law values must be finite, got {values}")
         pmf = FinitePmf(values, self.probs)

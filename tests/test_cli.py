@@ -174,6 +174,23 @@ class TestExponentsCommand:
         assert err.startswith("config error: cannot write")
         assert not target.exists()
 
+    @pytest.mark.parametrize(
+        "config,flags,rows",
+        [
+            ({"delta": [0.0, 0.5]}, ("--gamma", "0.5"), 2),
+            ({"gamma": [0.5]}, ("--grid", "0:1:3"), 3),
+        ],
+        ids=["gamma-flag", "grid-flag"],
+    )
+    def test_config_without_a_list_reads_its_flag(
+        self, capsys, tmp_path, config, flags, rows
+    ):
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps(config))
+        code, out, _ = run_cli(capsys, "exponents", "--config", str(cfg), *flags)
+        assert code == 0
+        assert len(parse_csv(out)[1]) == rows
+
     def test_grid_config_file(self, capsys, tmp_path):
         cfg = tmp_path / "grid.json"
         cfg.write_text(json.dumps({"gamma": [0.25, 0.5], "delta": [0.0, 0.5, 1.0]}))
@@ -698,58 +715,108 @@ class TestPrecisionFlag:
         assert code == 2
 
 
+EXPONENTS = ("exponents", "--config")
+PAIRWISE = ("pairwise", "--config")
+HYPOTHESIS = ("hypothesis", "--config")
+LDPC = ("ldpc", "--alpha", "0.1", "--config")
+LAW = ("simulate", "--seed", "1", "--threshold", "1", "--law")
+CHANNEL = {"outputs": [0, 1], "p0": [0.9, 0.1], "p1": [0.1, 0.9], "sym": [1, 0]}
+PAIR = {
+    "p1": [0.9, 0.1], "p2": [0.1, 0.9],
+    "thresholds": {"lambda_bar": 0.5, "lambda_under": 0.0},
+}
+ENSEMBLE = {"n": 10, "lambda": [0, 0, 1], "rho": [0, 0, 0, 0, 0, 1]}
+HUGE = 10**400  # a JSON integer past the float range
+
+
+def thresholds(**fields):
+    return dict(PAIR, thresholds=dict(PAIR["thresholds"], **fields))
+
+
 class TestJsonConfigShape:
+    """A JSON input of the wrong shape, or a number that is a bool, a string or
+    an int past the float range, prints one config error line that names it."""
+
     @pytest.mark.parametrize(
-        "payload,argv",
+        "payload,argv,named",
         [
-            ([0.5, 1.0], ("exponents", "--config")),
-            ({"gamma": 0.5}, ("exponents", "--config")),
-            ({"gamma": [0.5], "delta": 0.1}, ("exponents", "--config")),
-            ({"gamma": [None]}, ("exponents", "--config")),
-            ([1.0, -1.0], ("simulate", "--seed", "1", "--threshold", "1", "--law")),
+            ([0.5, 1.0], EXPONENTS, "must hold a JSON object"),
+            ({"gamma": 0.5}, EXPONENTS, "'gamma' must be a list"),
+            ({"gamma": [0.5], "delta": 0.1}, EXPONENTS, "'delta' must be a list"),
+            ({"gamma": [None]}, EXPONENTS, "'gamma' entry"),
+            ({"gamma": [True], "delta": [0.5]}, EXPONENTS, "'gamma' entry"),
+            ({"gamma": [0.5], "delta": ["0.5"]}, EXPONENTS, "'delta' entry"),
+            ({"gamma": [0.5], "delta": [HUGE]}, EXPONENTS, "'delta' entry"),
+            ([1.0, -1.0], LAW, "must hold a JSON object"),
+            ({"values": 1.0, "probs": [1.0]}, LAW, "increment-law JSON"),
+            ({"values": [True, -1.0], "probs": [0.5, 0.5]}, LAW, "values entry"),
+            ({"values": [1.0, -1.0], "probs": ["0.5", 0.5]}, LAW, "probs entry"),
+            ({"values": [HUGE, -HUGE], "probs": [0.5, 0.5]}, LAW, "values entry"),
+            ({"values": [1.0, -1.0]}, LAW, "missing field 'probs'"),
+            ({"p1": 0.5, "p2": [0.5, 0.5]}, HYPOTHESIS, "'p1'"),
+            (dict(PAIR, p1=[True, False]), HYPOTHESIS, "'p1'"),
+            (dict(PAIR, p2=[0.1, "0.9"]), HYPOTHESIS, "'p2'"),
+            (thresholds(lambda_bar=True), HYPOTHESIS, "lambda_bar"),
+            (thresholds(lambda_bar=HUGE), HYPOTHESIS, "lambda_bar"),
+            (thresholds(lambda_under="0"), HYPOTHESIS, "lambda_under"),
             (
-                {"values": 1.0, "probs": [1.0]},
-                ("simulate", "--seed", "1", "--threshold", "1", "--law"),
+                dict(PAIR, thresholds={"lambda_bar": 0.5}),
+                HYPOTHESIS,
+                "'thresholds' missing field 'lambda_under'",
             ),
-            ({"p1": 0.5, "p2": [0.5, 0.5]}, ("hypothesis", "--config")),
-            (
-                {"outputs": 2, "p0": [0.9, 0.1], "p1": [0.1, 0.9], "sym": [1, 0]},
-                ("pairwise", "--config"),
-            ),
-            (
-                {"n": 10, "lambda": 0.5, "rho": [1.0]},
-                ("ldpc", "--alpha", "0.1", "--config"),
-            ),
-            (
-                {"n": 1024.7, "lambda": [0, 0, 1], "rho": [0, 0, 0, 0, 0, 1]},
-                ("ldpc", "--alpha", "0.1", "--config"),
-            ),
-            (
-                {"n": True, "lambda": [0, 0, 1], "rho": [0, 0, 0, 0, 0, 1]},
-                ("ldpc", "--alpha", "0.1", "--config"),
-            ),
+            (dict(PAIR, thresholds=[0.5, 0.0]), HYPOTHESIS, "'thresholds'"),
+            (dict(CHANNEL, outputs=2), PAIRWISE, "channel JSON"),
+            (dict(CHANNEL, p0=["0.9", 0.1]), PAIRWISE, "'p0'"),
+            (dict(CHANNEL, p1=[False, True]), PAIRWISE, "'p1'"),
+            ({"n": 10, "lambda": 0.5, "rho": [1.0]}, LDPC, "LDPC JSON"),
+            (dict(ENSEMBLE, n=1024.7), LDPC, "block length n"),
+            (dict(ENSEMBLE, n=True), LDPC, "block length n"),
+            (dict(ENSEMBLE, **{"lambda": [False, False, True]}), LDPC, "lambda entry"),
+            (dict(ENSEMBLE, rho=[0, 0, 0, 0, 0, "1"]), LDPC, "rho entry"),
         ],
         ids=[
             "exponents-list",
             "exponents-scalar-gamma",
             "exponents-scalar-delta",
             "exponents-null-entry",
+            "exponents-bool-gamma",
+            "exponents-string-delta",
+            "exponents-huge-delta",
             "simulate-list",
             "simulate-scalar-values",
+            "simulate-bool-values",
+            "simulate-string-probs",
+            "simulate-huge-values",
+            "simulate-missing-probs",
             "hypothesis-scalar-p1",
+            "hypothesis-bool-p1",
+            "hypothesis-string-p2",
+            "hypothesis-bool-lambda-bar",
+            "hypothesis-huge-lambda-bar",
+            "hypothesis-string-lambda-under",
+            "hypothesis-missing-lambda-under",
+            "hypothesis-list-thresholds",
             "pairwise-scalar-outputs",
+            "pairwise-string-p0",
+            "pairwise-bool-p1",
             "ldpc-scalar-lambda",
             "ldpc-fractional-n",
             "ldpc-bool-n",
+            "ldpc-bool-lambda",
+            "ldpc-string-rho",
         ],
     )
-    def test_malformed_config_is_config_error(self, capsys, tmp_path, payload, argv):
+    def test_malformed_config_is_config_error(
+        self, capsys, tmp_path, payload, argv, named
+    ):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(payload))
         code, out, err = run_cli(capsys, *argv, str(cfg))
         assert code == 2
         assert out == ""
         assert err.startswith("config error:")
+        assert err.count("\n") == 1 and len(err) < 200  # never the 401 digits
+        assert named in err
 
 
 class TestPerCommandFlags:
@@ -837,6 +904,14 @@ class TestFlagsTheModeIgnores:
                 ("pairwise", "--config", "channel.json", "--qary", "2", "0.1"),
                 "--qary applies only without --config",
             ),
+            (
+                ("exponents", "--config", "exponents.json", "--gamma", "0.1"),
+                "--gamma applies only without a 'gamma' list in --config",
+            ),
+            (
+                ("exponents", "--config", "exponents.json", "--grid", "0:1:3"),
+                "--grid applies only without a 'delta' list in --config",
+            ),
         ],
         ids=[
             "ofdm-seed",
@@ -848,6 +923,8 @@ class TestFlagsTheModeIgnores:
             "hypothesis-config-thresholds",
             "ldpc-config-regular",
             "pairwise-config-qary",
+            "exponents-config-gamma",
+            "exponents-config-grid",
         ],
     )
     def test_flag_is_config_error(self, capsys, argv, message):

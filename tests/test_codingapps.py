@@ -39,6 +39,13 @@ BENCH_CHANNEL = (
 )
 
 
+def read_json(tmp_path, reader, obj):
+    """``reader``, one of the CLI's JSON readers, applied to ``obj`` in a file."""
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    return reader(str(path))
+
+
 class TestChannelConstruction:
     def test_qary_rows_sum_to_one(self):
         for q in range(2, 11):
@@ -67,7 +74,7 @@ class TestChannelConstruction:
         with pytest.raises(ValueError):
             DmcChannel(outs, p0, p1, (1, 2, 0))  # not an involution
 
-    def test_json_round_trip(self):
+    def test_json_round_trip(self, tmp_path):
         ch = q_ary_channel(3, 0.05)
         obj = {
             "outputs": list(ch.outputs),
@@ -75,17 +82,18 @@ class TestChannelConstruction:
             "p1": list(ch.p1.probs),
             "sym": list(ch.sym),
         }
-        again = DmcChannel.from_json(json.loads(json.dumps(obj)))
+        again = read_json(tmp_path, cli._read_channel, obj)
         assert again.p0.probs == ch.p0.probs
         assert again.sym == ch.sym
 
-    def test_json_errors_name_field(self):
+    def test_json_errors_name_field(self, tmp_path):
         with pytest.raises(ValueError, match="p0"):
-            DmcChannel.from_json(
-                {"outputs": [0, 1], "p0": [0.5, 0.6], "p1": [0.5, 0.5], "sym": [1, 0]}
+            read_json(
+                tmp_path, cli._read_channel,
+                {"outputs": [0, 1], "p0": [0.5, 0.6], "p1": [0.5, 0.5], "sym": [1, 0]},
             )
         with pytest.raises(ValueError, match="missing"):
-            DmcChannel.from_json({"outputs": [0, 1]})
+            read_json(tmp_path, cli._read_channel, {"outputs": [0, 1]})
 
     def test_stored_martingale_is_invisible_from_outside(self):
         # mart is derived at construction: equality, hash and repr see only the
@@ -207,7 +215,7 @@ class TestMomentProfile:
             channel_moment_profile(bsc(0.1), 3)
 
     def test_pairwise_is_hypothesis_martingale_at_zero_threshold(self):
-        config = DmcChannel.from_json(json.loads(BENCH_CHANNEL.read_text()))
+        config = cli._read_channel(str(BENCH_CHANNEL))
         for ch in TABLE_CHANNELS + [config]:
             profile, delta = channel_moment_profile(ch, 2)
             pair = HypothesisPair(ch.p0, ch.p1)
@@ -445,19 +453,22 @@ class TestLdpc:
             # both bounds clamp to 1 at small beta, so compare the exponents
             assert res.exponent.exponent >= res.azuma.exponent
 
-    def test_json_and_validation(self):
-        ens = LdpcEnsemble.from_json(
+    def test_json_and_validation(self, tmp_path):
+        def from_json(obj):
+            return read_json(tmp_path, cli._read_ldpc, obj)
+
+        ens = from_json(
             {"n": 10, "lambda": [0.0, 0.0, 1.0], "rho": [0, 0, 0, 0, 0, 1.0]}
         )
         assert ens.design_rate == pytest.approx(0.5)
         with pytest.raises(ValueError):
-            LdpcEnsemble.from_json({"n": 10, "lambda": [0.5, 0.4]})  # sums to 0.9
+            from_json({"n": 10, "lambda": [0.5, 0.4]})  # sums to 0.9
         with pytest.raises(ValueError):
-            LdpcEnsemble.from_json({"n": 10})
+            from_json({"n": 10})
         with pytest.raises(ValueError, match="integer"):  # never truncated to 10
-            LdpcEnsemble.from_json({"n": 10.7, "lambda": [1.0], "rho": [1.0]})
+            from_json({"n": 10.7, "lambda": [1.0], "rho": [1.0]})
         with pytest.raises(ValueError, match="integer"):  # a JSON true is not n = 1
-            LdpcEnsemble.from_json({"n": True, "lambda": [1.0], "rho": [1.0]})
+            from_json({"n": True, "lambda": [1.0], "rho": [1.0]})
 
 
 class TestOfdmBounds:

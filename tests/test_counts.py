@@ -1,15 +1,20 @@
 """Every length, count and order argument follows one rule, ``bounds.as_count``:
-an int (Python or numpy) in [least, largest double], else ValueError naming it."""
+an int (Python or numpy) in [least, largest double], else ValueError naming it.
+Every probability, coefficient and threshold a record takes from its caller
+follows its twin, ``bounds.as_real``: a Python or numpy int or float, else
+ValueError naming it."""
 
 import math
 import re
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from tailforge import bounds, codingapps, hyptest, validate
-from tailforge.bounds import ExponentValue, MartingaleSpec, as_count
+from tailforge.bounds import ExponentValue, MartingaleSpec, as_count, as_real
+from tailforge.pmf import FinitePmf
 
 LAW = validate.two_point_increment(1.0, 0.3)
 LAMBDA, RHO = (0.0, 0.0, 1.0), (0.0,) * 5 + (1.0,)
@@ -103,3 +108,70 @@ def test_as_count_bounds():
         as_count(99, "trials", 100)
     with pytest.raises(ValueError, match="^n must be an integer, got '10'$"):
         as_count("10", "n")
+
+
+# (argument name as the message gives it, call taking the value 1.0 where valid)
+REAL_ENTRY_POINTS = {
+    "FinitePmf": ("probs entry", lambda v: FinitePmf((0,), (v,))),
+    "IncrementLaw-values": (
+        "values entry", lambda v: validate.IncrementLaw((v, -1.0), (0.5, 0.5))
+    ),
+    "IncrementLaw-probs": (
+        "probs entry", lambda v: validate.IncrementLaw((0.0,), (v,))
+    ),
+    "LdpcEnsemble-lambda": (
+        "lambda entry", lambda v: codingapps.LdpcEnsemble(8, (v,), (1.0,))
+    ),
+    "LdpcEnsemble-rho": (
+        "rho entry", lambda v: codingapps.LdpcEnsemble(8, (1.0,), (v,))
+    ),
+    "Thresholds-lambda_bar": ("lambda_bar", lambda v: hyptest.Thresholds(v, 0.0)),
+    "Thresholds-lambda_under": ("lambda_under", lambda v: hyptest.Thresholds(1.0, v)),
+}
+NOT_REAL = {"true": True, "string": "0.5", "none": None, "list": [0.5], "huge": 10**400}
+
+
+@pytest.mark.parametrize(
+    "value,want",
+    [
+        (3, 3.0),
+        (0.25, 0.25),
+        (np.float32(0.5), 0.5),
+        (np.int64(-7), -7.0),
+        (Fraction(1, 4), 0.25),
+        (math.inf, math.inf),
+        (-math.inf, -math.inf),
+        (math.nan, math.nan),
+    ],
+    ids=["int", "float", "float32", "int64", "fraction", "inf", "-inf", "nan"],
+)
+def test_as_real_accepts_numbers(value, want):
+    got = as_real(value, "x")
+    assert type(got) is float and repr(got) == repr(want)  # repr: nan is nan
+
+
+@pytest.mark.parametrize("bad", sorted(NOT_REAL))
+def test_as_real_rejects_naming_the_argument(bad):
+    value = NOT_REAL[bad]
+    want = f"x must be a real number, got {value!r}"
+    if bad == "huge":  # named without its 401 digits
+        want = "x must have magnitude <= 1.79769e+308"
+    with pytest.raises(ValueError, match="^" + re.escape(want) + "$"):
+        as_real(value, "x")
+
+
+@pytest.mark.parametrize("entry", sorted(REAL_ENTRY_POINTS))
+@pytest.mark.parametrize("bad", sorted(NOT_REAL))
+def test_bad_real_raises_naming_it(entry, bad):
+    name, call = REAL_ENTRY_POINTS[entry]
+    with pytest.raises(ValueError, match="^" + re.escape(name) + " must "):
+        call(NOT_REAL[bad])
+
+
+@pytest.mark.parametrize("entry", sorted(REAL_ENTRY_POINTS))
+@pytest.mark.parametrize(
+    "good", [1, np.int64(1), np.float32(1.0), Fraction(1)], ids=repr
+)
+def test_real_numbers_accepted_as_floats(entry, good):
+    _, call = REAL_ENTRY_POINTS[entry]
+    assert call(good) == call(1.0)

@@ -1,8 +1,9 @@
 """Every name a tailforge module imports or keeps private is used in that module,
 every dataclass field it declares is read somewhere in the repository, the
 sites that form a tail exponent leave its probability to ``bounds.tail_bound``,
-only ``bounds.as_count`` decides what counts as an integer, only the domain
-helpers of ``bounds`` hold the delta and gamma rules, the values a ``bounds``
+only ``bounds.as_count`` decides what counts as an integer and only
+``bounds.as_real`` what counts as a real number, only ``cli`` reads JSON, only
+the domain helpers of ``bounds`` hold the delta and gamma rules, the values a ``bounds``
 record derives are formed only where it is built, each pair of laws builds its
 LLR martingale only in its record and reads its moments only through
 ``LlrMartingale.ratios`` (and hyptest's sigma1^2), hyptest's tilted kernel makes
@@ -207,6 +208,94 @@ def test_integer_rule_lives_in_as_count():
         ]
     assert sites == ["bounds.py:as_count"]
     assert importers == ["bounds.py"]
+
+
+# records that convert the numbers their callers hand in, JSON's included
+REAL_RECORDS = ("FinitePmf", "IncrementLaw", "LdpcEnsemble", "Thresholds")
+
+
+def imports_module(tree: ast.AST, module: str) -> bool:
+    """Whether ``tree`` holds ``import module`` or ``from module import ...``."""
+    return any(
+        isinstance(n, ast.Import)
+        and any(a.name == module for a in n.names)
+        or isinstance(n, ast.ImportFrom)
+        and n.module == module
+        for n in ast.walk(tree)
+    )
+
+
+def defines(name: str):
+    """A ``qualified_sites`` matcher for a function or method named ``name``."""
+    return lambda n: isinstance(n, ast.FunctionDef) and n.name == name
+
+
+def input_rule_sites(sources: dict) -> dict:
+    """Per module name -> source: who imports ``numbers`` and ``json``, where a
+    ``from_json`` is defined, and which REAL_RECORDS ``__post_init__`` calls the
+    builtin ``float``."""
+    inits = {f"{cls}.__post_init__" for cls in REAL_RECORDS}
+    found = {"numbers": [], "json": [], "from_json": [], "float": []}
+    for name, source in sorted(sources.items()):
+        tree = ast.parse(source)
+        for module in ("numbers", "json"):
+            if imports_module(tree, module):
+                found[module].append(name)
+        found["from_json"] += [
+            f"{name}:{site}" for site in qualified_sites(source, defines("from_json"))
+        ]
+        found["float"] += [
+            f"{name}:{site}"
+            for site in qualified_sites(
+                source, lambda n: isinstance(n, ast.Call) and ast.unparse(n.func) == "float"
+            )
+            if site in inits
+        ]
+    return found
+
+
+def test_checker_flags_input_rules_outside_their_homes():
+    sources = {
+        "cli.py": "import json\n",
+        "pmf.py": (
+            "import numbers\n"
+            "from json import loads\n"
+            "class FinitePmf:\n"
+            "    def __post_init__(self):\n"
+            "        self.probs = tuple(float(p) for p in self.probs)\n"
+            "    @classmethod\n"
+            "    def from_json(cls, obj):\n"
+            "        return cls(obj['symbols'], obj['probs'])\n"
+            "class Other:\n"
+            "    def __post_init__(self):\n"
+            "        self.x = float(self.x)\n"
+        ),
+    }
+    assert input_rule_sites(sources) == {
+        "numbers": ["pmf.py"],
+        "json": ["cli.py", "pmf.py"],
+        "from_json": ["pmf.py:FinitePmf.from_json"],
+        "float": ["pmf.py:FinitePmf.__post_init__"],
+    }
+
+
+def test_input_formats_and_real_rule_have_one_home():
+    # the CLI alone reads the JSON input formats, and bounds.as_real alone turns
+    # a caller's number into a float: no from_json, no float() in the records
+    sources = {p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    assert input_rule_sites(sources) == {
+        "numbers": ["bounds.py"],
+        "json": ["cli.py"],
+        "from_json": [],
+        "float": [],
+    }
+    # every record the float check names still has a __post_init__
+    inits = [
+        site
+        for source in sources.values()
+        for site in qualified_sites(source, defines("__post_init__"))
+    ]
+    assert {f"{cls}.__post_init__" for cls in REAL_RECORDS} <= set(inits)
 
 
 # the one home of each route-domain rule in bounds.py
