@@ -295,11 +295,10 @@ def thm3_exponent(spec: MartingaleSpec, alpha: float) -> ExponentValue:
 def _poly_plan(n: int) -> tuple:
     """Per derivative order j = 0..n + 2, the terms of P_j for n = m - 1 ratios.
 
-    P_j's terms are (l - 2, k = l - j, k!) for l = max(2, j)..n. k! is a float
-    up to k = 170 and the exact int past it, so a division by it raises
-    OverflowError as the direct sum's does.
+    P_j's terms are (l - 2, k = l - j, k!) for l = max(2, j)..n, k! a float:
+    past n = 170 this raises k!'s OverflowError before any plan is built.
     """
-    facts = [float(math.factorial(k)) if k <= 170 else math.factorial(k) for k in range(n + 1)]
+    facts = [float(math.factorial(k)) for k in range(n + 1)]
     return tuple(
         tuple((l - 2, l - j, facts[l - j]) for l in range(max(2, j), n + 1))
         for j in range(n + 3)

@@ -18,18 +18,14 @@ import sys
 
 from . import bounds
 from .bounds import MartingaleSpec
-from .pmf import FinitePmf
-from .specfun import ConvergenceError, InfeasibleError, f_delta
+from .pmf import FinitePmf, alphabet
+from .specfun import InfeasibleError, f_delta
 
 LN2 = math.log(2.0)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
-
-
-class ConfigError(ValueError):
-    pass
 
 
 def _fmt(value, precision: int, units_scale: float = 1.0) -> str:
@@ -66,7 +62,7 @@ def _emit(columns, rows, args, exponent_columns=()):
             with open(args.out, "w", encoding="utf-8", newline="") as fh:
                 fh.write(payload)
         except OSError as exc:
-            raise ConfigError(f"cannot write {args.out}: {exc}") from exc
+            raise ValueError(f"cannot write {args.out}: {exc}") from exc
     else:
         sys.stdout.write(payload)
 
@@ -77,50 +73,59 @@ def _load_json(path: str, what: str, *required: str) -> dict:
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+        raise ValueError(f"{path} is not valid JSON: {exc}") from exc
     return _fields(obj, what, *required)
 
 
 def _fields(obj, what: str, *required: str) -> dict:
     """obj, a JSON object holding each required field; other fields are ignored."""
     if not isinstance(obj, dict):
-        raise ConfigError(f"{what} must hold a JSON object")
+        raise ValueError(f"{what} must hold a JSON object")
     for key in required:
         if key not in obj:
-            raise ConfigError(f"{what} missing field {key!r}")
+            raise ValueError(f"{what} missing field {key!r}")
     return obj
 
 
-def _pmf(obj: dict, what: str, key: str, symbols=None) -> FinitePmf:
-    """FinitePmf of field ``key`` on ``symbols`` (default 0..n-1); errors name it."""
+def _list(obj: dict, what: str, key: str, build=tuple, *args):
+    """build(*args, field ``key``), which must be a JSON list of one or more
+    entries; a ValueError that build raises is reported under the field."""
+    value = obj[key]
+    if not isinstance(value, list) or not value:
+        raise ValueError(f"{what} field {key!r} must be a list of one or more entries")
     try:
-        return FinitePmf(range(len(obj[key])) if symbols is None else symbols, obj[key])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{what} field {key!r}: {exc}") from exc
+        return build(*args, value)
+    except ValueError as exc:
+        raise ValueError(f"{what} field {key!r}: {exc}") from exc
 
 
 def _read_channel(path: str):
     """The channel JSON at ``path`` as a codingapps.DmcChannel."""
     from .codingapps import DmcChannel
-    obj = _load_json(path, "channel JSON", "outputs", "p0", "p1", "sym")
-    try:
-        outputs = tuple(obj["outputs"])
-        p0, p1 = (_pmf(obj, "channel JSON", key, outputs) for key in ("p0", "p1"))
-        return DmcChannel(outputs, p0, p1, obj["sym"])
-    except TypeError as exc:  # outputs or sym is not a list
-        raise ConfigError(f"channel JSON: {exc}") from exc
+    what = "channel JSON"
+    obj = _load_json(path, what, "outputs", "p0", "p1", "sym")
+    outputs = _list(obj, what, "outputs", alphabet)
+    p0, p1 = (_list(obj, what, key, FinitePmf, outputs) for key in ("p0", "p1"))
+    return DmcChannel(outputs, p0, p1, _list(obj, what, "sym"))
 
 
 def _read_ldpc(path: str):
     """The LDPC ensemble JSON at ``path`` as a codingapps.LdpcEnsemble."""
     from .codingapps import LdpcEnsemble
     obj = _load_json(path, "LDPC JSON", "n", "lambda", "rho")
-    try:
-        return LdpcEnsemble(obj["n"], obj["lambda"], obj["rho"])
-    except TypeError as exc:  # lambda or rho is not a list
-        raise ConfigError(f"LDPC JSON: {exc}") from exc
+    return LdpcEnsemble(obj["n"], *(_list(obj, "LDPC JSON", k) for k in ("lambda", "rho")))
+
+
+def _only(args, where: str, *flags: str) -> None:
+    """Refuse ``flags`` if any is given (its value is not None and not False,
+    by identity, so 0 is given): they apply only ``where``."""
+    values = [getattr(args, flag[2:].replace("-", "_")) for flag in flags]
+    if any(v is not None and v is not False for v in values):
+        names = " and ".join(filter(None, (", ".join(flags[:-1]), flags[-1])))
+        verb = "applies" if len(flags) == 1 else "apply"
+        raise ValueError(f"{names} {verb} only {where}")
 
 
 def _parse_grid(spec: str):
@@ -129,12 +134,12 @@ def _parse_grid(spec: str):
         start, stop, count = spec.split(":")
         start, stop, count = float(start), float(stop), int(count)
     except ValueError as exc:
-        raise ConfigError(f"bad grid spec {spec!r}, want start:stop:count") from exc
+        raise ValueError(f"bad grid spec {spec!r}, want start:stop:count") from exc
     if count < 1:
-        raise ConfigError("grid count must be >= 1")
+        raise ValueError("grid count must be >= 1")
     step = (stop - start) / (count - 1) if count > 1 else 0.0
     if not all(map(math.isfinite, (start, stop, step))):
-        raise ConfigError(f"bad grid spec {spec!r}: start, stop and step must be finite")
+        raise ValueError(f"bad grid spec {spec!r}: start, stop and step must be finite")
     if count == 1:
         return [start]
     return [start + i * step for i in range(count)]
@@ -151,7 +156,7 @@ def _parse_int_list(spec: str):
         elif part:
             out.append(int(part))
     if not out:
-        raise ConfigError(f"empty list spec {spec!r}")
+        raise ValueError(f"empty list spec {spec!r}")
     return out
 
 
@@ -159,22 +164,20 @@ def _parse_float_list(spec: str):
     try:
         return [float(p) for p in spec.split(",") if p.strip()]
     except ValueError as exc:
-        raise ConfigError(f"bad float list {spec!r}") from exc
+        raise ValueError(f"bad float list {spec!r}") from exc
 
 
-def cmd_exponents(args) -> int:
+def cmd_exponents(args) -> None:
     gammas = [args.gamma] if args.gamma is not None else []
     deltas = _parse_grid(args.grid) if args.grid else []
     cfg = _load_json(args.config, "exponents config") if args.config else {}
     for key, flag, values in (("gamma", "--gamma", gammas), ("delta", "--grid", deltas)):
-        entries = cfg.get(key, [])
-        if key in cfg and values:
-            raise ConfigError(f"{flag} applies only without a {key!r} list in --config")
-        if not isinstance(entries, list):
-            raise ConfigError(f"config field {key!r} must be a list")
-        values.extend(bounds.as_real(v, f"config field {key!r} entry") for v in entries)
+        if key in cfg:
+            _only(args, f"without a {key!r} list in --config", flag)
+            entries = _list(cfg, "exponents config", key)
+            values.extend(bounds.as_real(v, f"config field {key!r} entry") for v in entries)
     if not gammas:
-        raise ConfigError("need --gamma or a config with a 'gamma' list")
+        raise ValueError("need --gamma or a config with a 'gamma' list")
     if not deltas:
         deltas = _parse_grid("0:1:101")
     rows = []
@@ -198,30 +201,24 @@ def cmd_exponents(args) -> int:
             )
     columns = list(rows[0])
     _emit(columns, rows, args, exponent_columns=set(columns) - {"gamma", "delta"})
-    return EXIT_OK
 
 
-def cmd_pairwise(args) -> int:
+def cmd_pairwise(args) -> None:
     from . import codingapps
     if args.config:
-        if args.qary:
-            raise ConfigError("--qary applies only without --config")
+        _only(args, "without --config", "--qary")
         channels = [("config", _read_channel(args.config))]
     elif args.qary:
         qspec, p = args.qary
         try:
             p = float(p)
         except ValueError as exc:
-            raise ConfigError(f"bad crossover probability {p!r}") from exc
+            raise ValueError(f"bad crossover probability {p!r}") from exc
         qs = _parse_int_list(qspec)
         channels = [(f"qary({q},{p:g})", codingapps.q_ary_channel(q, p)) for q in qs]
     else:
-        raise ConfigError("need --config CHANNEL.json or --qary QLIST P")
+        raise ValueError("need --config CHANNEL.json or --qary QLIST P")
     m_list = _parse_int_list(args.m) if args.m else [2, 4, 6, 8, 10]
-    columns = ["channel", "zB", "z1"]
-    columns += [f"z2_{m}" for m in m_list]
-    if args.tilde:
-        columns += [f"z2tilde_{m}" for m in m_list]
     rows = []
     for label, ch in channels:
         row = {
@@ -235,21 +232,22 @@ def cmd_pairwise(args) -> int:
             for m in m_list:
                 row[f"z2tilde_{m}"] = codingapps.z2m_tilde(ch, m).base
         rows.append(row)
-    _emit(columns, rows, args)
-    return EXIT_OK
+    _emit(list(rows[0]), rows, args)
 
 
 def _pair_from_args(args):
     from .hyptest import HypothesisPair, Thresholds
     thresholds = Thresholds.single(0.0)
     if args.config:
-        if args.p1 or args.p2 or args.thresholds:
-            raise ConfigError("--p1, --p2 and --thresholds apply only without --config")
-        cfg = _load_json(args.config, "hypothesis config", "p1", "p2")
-        pair = HypothesisPair(*(_pmf(cfg, "hypothesis config", k) for k in ("p1", "p2")))
+        _only(args, "without --config", "--p1", "--p2", "--thresholds")
+        what = "hypothesis config"
+        cfg = _load_json(args.config, what, "p1", "p2")
+        pair = HypothesisPair(
+            *(_list(cfg, what, k, lambda p: FinitePmf(range(len(p)), p)) for k in ("p1", "p2"))
+        )
         if "thresholds" in cfg:
             keys = ("lambda_bar", "lambda_under")
-            t = _fields(cfg["thresholds"], "hypothesis config field 'thresholds'", *keys)
+            t = _fields(cfg["thresholds"], f"{what} field 'thresholds'", *keys)
             thresholds = Thresholds(*(t[key] for key in keys))
         return pair, thresholds
     if args.p1 and args.p2:
@@ -259,19 +257,19 @@ def _pair_from_args(args):
         if args.thresholds:
             t = _parse_float_list(args.thresholds)
             if len(t) != 2:
-                raise ConfigError(
+                raise ValueError(
                     "--thresholds wants LAMBDA_BAR,LAMBDA_UNDER (two numbers), "
                     f"got {args.thresholds!r}"
                 )
             thresholds = Thresholds(*t)
         return pair, thresholds
-    raise ConfigError("need --config PAIR.json or --p1/--p2")
+    raise ValueError("need --config PAIR.json or --p1/--p2")
 
 
-def cmd_hypothesis(args) -> int:
+def cmd_hypothesis(args) -> None:
     from . import hyptest
-    if args.eta is None and (args.eps1 is not None or args.mdp_n is not None):
-        raise ConfigError("--eps1 and --mdp-n apply only to --eta")
+    if args.eta is None:
+        _only(args, "to --eta", "--eps1", "--mdp-n")
     pair, thresholds = _pair_from_args(args)
     exact = hyptest.exact_exponents(pair, thresholds)
     refined = hyptest.refined_lower_bounds(pair, thresholds)
@@ -302,28 +300,25 @@ def cmd_hypothesis(args) -> int:
             {"quantity": "mdp_asymptotic_slope", "value": md.asymptotic_slope},
         ]
     _emit(["quantity", "value"], rows, args, exponent_columns={"value"})
-    return EXIT_OK
 
 
-def cmd_ldpc(args) -> int:
+def cmd_ldpc(args) -> None:
     from . import codingapps
     if args.config:
-        if args.n is not None:
-            raise ConfigError("--n applies only to --regular")
-        if args.regular:
-            raise ConfigError("--regular applies only without --config")
+        _only(args, "to --regular", "--n")
+        _only(args, "without --config", "--regular")
         ens = _read_ldpc(args.config)
     elif args.regular:
         try:
             dv, dc = (int(v) for v in args.regular.split(","))
         except ValueError:
-            raise ConfigError(
+            raise ValueError(
                 f"--regular wants DV,DC (two integers), got {args.regular!r}"
             ) from None
         n = 1024 if args.n is None else args.n
         ens = codingapps.LdpcEnsemble.regular(n, dv, dc)
     else:
-        raise ConfigError("need --config LDPC.json or --regular DV,DC")
+        raise ValueError("need --config LDPC.json or --regular DV,DC")
     res = codingapps.ldpc_cycles_bound(ens, args.alpha)
     rows = [
         {"quantity": "design_rate", "value": ens.design_rate},
@@ -333,13 +328,12 @@ def cmd_ldpc(args) -> int:
         {"quantity": "azuma_bound", "value": bounds.tail_bound(res.azuma, res.n)},
     ]
     _emit(["quantity", "value"], rows, args)
-    return EXIT_OK
 
 
-def cmd_ofdm(args) -> int:
+def cmd_ofdm(args) -> None:
     from . import codingapps
-    if not args.check and (args.seed is not None or args.trials is not None):
-        raise ConfigError("--seed and --trials apply only to --check")
+    if not args.check:
+        _only(args, "to --check", "--seed", "--trials")
     model = codingapps.OfdmModel(n=args.n, M=args.M)
     res = codingapps.ofdm_cf_bounds(model, args.alpha)
     rows = [
@@ -349,7 +343,7 @@ def cmd_ofdm(args) -> int:
     ]
     if args.check:
         if args.seed is None:
-            raise ConfigError("--check requires --seed")
+            raise ValueError("--check requires --seed")
         trials = 200 if args.trials is None else args.trials
         rep = codingapps.ofdm_martingale_check(model, trials=trials, seed=args.seed)
         rows += [
@@ -361,18 +355,16 @@ def cmd_ofdm(args) -> int:
             {"quantity": "trig_identity", "value": str(rep.trig_identity)},
         ]
     _emit(["quantity", "value"], rows, args)
-    return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> None:
     from . import validate
     from .validate import TailQuery
     if args.seed is None:
-        raise ConfigError("simulate requires --seed")
+        raise ValueError("simulate requires --seed")
     two_point = (args.eps, args.d, args.x)
     if args.law == "twopoint":
-        if args.threshold is not None or args.two_sided:
-            raise ConfigError("--threshold and --two-sided apply only to a --law file")
+        _only(args, "to a --law file", "--threshold", "--two-sided")
         eps, d, x = (v if f is None else f for f, v in zip(two_point, (0.01, 1.0, 0.5)))
         comp = validate.example3_comparison(eps, d, x, args.k)
         law = validate.two_point_increment(d, eps)
@@ -383,15 +375,16 @@ def cmd_simulate(args) -> int:
             {"quantity": "exact_tail", "value": comp.exact},
         ]
     else:
-        if two_point != (None, None, None):
-            raise ConfigError("--eps, --d and --x apply only to the two-point law")
-        cfg = _load_json(args.law, "increment-law JSON", "values", "probs")
+        _only(args, "to the two-point law", "--eps", "--d", "--x")
+        what = "increment-law JSON"
+        cfg = _load_json(args.law, what, "values", "probs")
+        values, probs = (_list(cfg, what, key) for key in ("values", "probs"))
         try:
-            law = validate.IncrementLaw(cfg["values"], cfg["probs"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"increment-law JSON: {exc}") from exc
+            law = validate.IncrementLaw(values, probs)
+        except ValueError as exc:
+            raise ValueError(f"{what}: {exc}") from exc
         if args.threshold is None:
-            raise ConfigError("custom law simulation requires --threshold")
+            raise ValueError("custom law simulation requires --threshold")
         query = TailQuery(n=args.k, threshold=args.threshold, two_sided=args.two_sided)
         rows = [{"quantity": "exact_tail", "value": validate.exact_tail_dp(law, query)}]
     mc = validate.monte_carlo_tail(law, query, args.trials, args.seed)
@@ -401,7 +394,6 @@ def cmd_simulate(args) -> int:
         {"quantity": "mc_wilson_upper", "value": mc.upper},
     ]
     _emit(["quantity", "value"], rows, args)
-    return EXIT_OK
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -497,23 +489,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if not 1 <= args.precision <= 15:
-        print("error: --precision must be in 1..15", file=sys.stderr)
-        return EXIT_CONFIG
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (ConvergenceError, InfeasibleError, FloatingPointError) as exc:
+        if not 1 <= args.precision <= 15:
+            raise ValueError("--precision must be in 1..15")
+        args.func(args)
+    except (ArithmeticError, InfeasibleError) as exc:  # ConvergenceError too
+        if isinstance(exc, OverflowError):  # a math range error's args are (errno, text)
+            exc = f"floating-point overflow: {exc.args[-1]}"
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except OverflowError as exc:
-        detail = exc.args[-1]  # a math range error's args are (errno, text)
-        print(f"numerical failure: floating-point overflow: {detail}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except ValueError as exc:  # ConfigError and invalid user parameters
+    except ValueError as exc:  # invalid user parameters
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -155,7 +155,9 @@ class LdpcEnsemble:
         object.__setattr__(self, "n", bounds.as_count(self.n, "block length n"))
         for name, coeffs in (("lambda", self.lambda_coeffs), ("rho", self.rho_coeffs)):
             coeffs = tuple(bounds.as_real(c, f"{name} entry") for c in coeffs)
-            if not coeffs or not all(c >= 0.0 for c in coeffs):  # NaN fails
+            if not coeffs:
+                raise ValueError(f"{name} needs at least one coefficient")
+            if not all(c >= 0.0 for c in coeffs):  # NaN fails
                 raise ValueError(f"{name} coefficients must be non-negative")
             if not abs(math.fsum(coeffs) - 1.0) <= 1e-9:
                 raise ValueError(f"{name} coefficients must sum to 1")

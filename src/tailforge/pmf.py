@@ -18,6 +18,17 @@ class AlphabetMismatchError(ValueError):
     """Raised when two pmfs defined on different alphabets are combined."""
 
 
+def alphabet(symbols) -> Tuple:
+    """``symbols`` as a tuple of distinct hashable labels; ValueError otherwise."""
+    symbols = tuple(symbols)
+    try:
+        if len(set(symbols)) == len(symbols):
+            return symbols
+    except TypeError as exc:  # an unhashable symbol
+        raise ValueError(f"alphabet symbols must be hashable: {exc}") from None
+    raise ValueError("alphabet symbols must be distinct")
+
+
 @dataclass(frozen=True)
 class FinitePmf:
     """A probability mass function on a finite labeled alphabet.
@@ -31,14 +42,12 @@ class FinitePmf:
     probs: Tuple[float, ...]
 
     def __post_init__(self):
-        symbols = tuple(self.symbols)
+        symbols = alphabet(self.symbols)
         probs = tuple(as_real(p, "probs entry") for p in self.probs)
         if len(symbols) != len(probs):
             raise ValueError("symbols and probs must have equal length")
         if len(symbols) == 0:
             raise ValueError("pmf needs a non-empty alphabet")
-        if len(set(symbols)) != len(symbols):
-            raise ValueError("alphabet symbols must be distinct")
         if not all(p >= 0.0 for p in probs):  # written so that NaN fails
             raise ValueError(f"probabilities must be non-negative, got {probs!r}")
         total = math.fsum(probs)

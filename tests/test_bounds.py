@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -614,6 +615,18 @@ class TestThm4Cor4:
         # 171! passes the float range; the kernel keeps the direct sum's error
         with pytest.raises(OverflowError, match="int too large to convert to float"):
             thm4_exponent(MomentProfile((0.5,) * 171), 0.5)
+
+    def test_profile_past_order_170_raises_before_building_its_plan(self):
+        # the plan of m = 900 held about 4e5 term tuples that no kernel call
+        # could use; its k! now raises while the factorials are formed
+        tracemalloc.start()
+        try:
+            with pytest.raises(OverflowError, match="int too large to convert to float"):
+                MomentProfile((0.5,) * 899)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_unrolled_series_equals_its_loop_bit_for_bit(self, rng):
         # about 1 x in 200 tells t2 * (x / 3) from t2 * x / 3, so sweep densely

@@ -714,6 +714,14 @@ class TestPrecisionFlag:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("precision", ["0", "16"])
+    def test_out_of_range_is_config_error(self, capsys, precision):
+        code, out, err = run_cli(
+            capsys, "exponents", "--gamma", "0.5", "--precision", precision
+        )
+        assert (code, out) == (2, "")
+        assert err == "config error: --precision must be in 1..15\n"
+
 
 EXPONENTS = ("exponents", "--config")
 PAIRWISE = ("pairwise", "--config")
@@ -773,6 +781,17 @@ class TestJsonConfigShape:
             (dict(ENSEMBLE, n=True), LDPC, "block length n"),
             (dict(ENSEMBLE, **{"lambda": [False, False, True]}), LDPC, "lambda entry"),
             (dict(ENSEMBLE, rho=[0, 0, 0, 0, 0, "1"]), LDPC, "rho entry"),
+            ({"gamma": [0.5], "delta": []}, EXPONENTS, "'delta' must be a list"),
+            ({"gamma": []}, EXPONENTS, "'gamma' must be a list"),
+            ({"values": None, "probs": [1.0]}, LAW, "'values' must be a list"),
+            ({"values": [1.0, -1.0], "probs": 0.5}, LAW, "'probs' must be a list"),
+            (dict(PAIR, p1=[]), HYPOTHESIS, "'p1' must be a list"),
+            (dict(PAIR, p2=None), HYPOTHESIS, "'p2' must be a list"),
+            (dict(CHANNEL, sym=1), PAIRWISE, "'sym' must be a list"),
+            (dict(CHANNEL, outputs=[[0], [1]]), PAIRWISE, "'outputs': alphabet"),
+            (dict(CHANNEL, outputs=[0, 0]), PAIRWISE, "'outputs': alphabet"),
+            (dict(ENSEMBLE, rho=0.5), LDPC, "'rho' must be a list"),
+            (dict(ENSEMBLE, **{"lambda": []}), LDPC, "'lambda' must be a list"),
         ],
         ids=[
             "exponents-list",
@@ -804,6 +823,17 @@ class TestJsonConfigShape:
             "ldpc-bool-n",
             "ldpc-bool-lambda",
             "ldpc-string-rho",
+            "exponents-empty-delta",
+            "exponents-empty-gamma",
+            "simulate-null-values",
+            "simulate-scalar-probs",
+            "hypothesis-empty-p1",
+            "hypothesis-null-p2",
+            "pairwise-scalar-sym",
+            "pairwise-list-outputs",
+            "pairwise-repeated-outputs",
+            "ldpc-scalar-rho",
+            "ldpc-empty-lambda",
         ],
     )
     def test_malformed_config_is_config_error(
@@ -912,6 +942,23 @@ class TestFlagsTheModeIgnores:
                 ("exponents", "--config", "exponents.json", "--grid", "0:1:3"),
                 "--grid applies only without a 'delta' list in --config",
             ),
+            # a value of 0 is given: 0 == False, but it is not False
+            (
+                ("ofdm", "--n", "8", "--alpha", "2", "--seed", "0"),
+                "--seed and --trials apply only to --check",
+            ),
+            (
+                ("simulate", "--seed", "1", "--threshold", "0"),
+                "--threshold and --two-sided apply only to a --law file",
+            ),
+            (
+                ("ldpc", "--config", "ldpc.json", "--n", "0", "--alpha", "0.1"),
+                "--n applies only to --regular",
+            ),
+            (
+                ("simulate", "--seed", "1", "--law", "law3.json", "--eps", "0"),
+                "--eps, --d and --x apply only to the two-point law",
+            ),
         ],
         ids=[
             "ofdm-seed",
@@ -925,6 +972,10 @@ class TestFlagsTheModeIgnores:
             "pairwise-config-qary",
             "exponents-config-gamma",
             "exponents-config-grid",
+            "ofdm-seed-0",
+            "simulate-threshold-0",
+            "ldpc-config-n-0",
+            "simulate-law-eps-0",
         ],
     )
     def test_flag_is_config_error(self, capsys, argv, message):

@@ -470,6 +470,12 @@ class TestLdpc:
         with pytest.raises(ValueError, match="integer"):  # a JSON true is not n = 1
             from_json({"n": True, "lambda": [1.0], "rho": [1.0]})
 
+    @pytest.mark.parametrize("name", ["lambda", "rho"])
+    def test_empty_polynomial_is_named(self, name):
+        coeffs = {"lambda": (1.0,), "rho": (1.0,), name: ()}
+        with pytest.raises(ValueError, match=f"^{name} needs at least one coefficient$"):
+            LdpcEnsemble(10, coeffs["lambda"], coeffs["rho"])
+
 
 class TestOfdmBounds:
     def test_formulas(self):

@@ -47,6 +47,15 @@ class TestPairValidation:
         with pytest.raises(AlphabetMismatchError):
             HypothesisPair(p, q)
 
+    @pytest.mark.parametrize(
+        "symbols,reason",
+        [(([0], [1]), "hashable: unhashable type: 'list'"), ((0, 0), "distinct")],
+        ids=["unhashable", "repeated"],
+    )
+    def test_bad_alphabet_is_value_error(self, symbols, reason):
+        with pytest.raises(ValueError, match=f"^alphabet symbols must be {reason}$"):
+            FinitePmf(symbols, (0.5, 0.5))
+
     def test_zero_mass_rejected(self):
         with pytest.raises(ValueError):
             HypothesisPair.from_probs((1.0, 0.0), (0.5, 0.5))

@@ -7,8 +7,10 @@ the domain helpers of ``bounds`` hold the delta and gamma rules, the values a ``
 record derives are formed only where it is built, each pair of laws builds its
 LLR martingale only in its record and reads its moments only through
 ``LlrMartingale.ratios`` (and hyptest's sigma1^2), hyptest's tilted kernel makes
-no numpy call, and ``bounds`` and ``specfun`` add no float with the builtin
-``sum``."""
+no numpy call, ``bounds`` and ``specfun`` add no float with the builtin
+``sum``, and ``cli`` reports errors through ``ValueError`` alone, with one
+home each for the mode-flag rule (``_only``) and the JSON-list rule
+(``_list``)."""
 
 import ast
 import fnmatch
@@ -484,6 +486,88 @@ def test_records_form_their_derived_values_once():
         ],
         "reads_a_moment": ["hyptest.py:martingale_params", "pmf.py:LlrMartingale.ratios"],
     }
+
+
+def defines_config_error(node: ast.AST) -> bool:
+    return isinstance(node, ast.ClassDef) and node.name == "ConfigError"
+
+
+def catches_type_error(node: ast.AST) -> bool:
+    """An ``except`` that names TypeError, alone or in a tuple, or a bare one."""
+    return isinstance(node, ast.ExceptHandler) and (
+        node.type is None
+        or any(isinstance(n, ast.Name) and n.id == "TypeError" for n in ast.walk(node.type))
+    )
+
+
+def raises_a_mode_flag_message(node: ast.AST) -> bool:
+    """A ``raise`` whose message says what a flag applies "only" to."""
+    return isinstance(node, ast.Raise) and " only " in ast.unparse(node)
+
+
+def checks_for_a_list(node: ast.AST) -> bool:
+    """``isinstance(x, list)``, with list alone or in a tuple of types."""
+    return (
+        isinstance(node, ast.Call)
+        and ast.unparse(node.func) == "isinstance"
+        and len(node.args) == 2
+        and any(isinstance(n, ast.Name) and n.id == "list" for n in ast.walk(node.args[1]))
+    )
+
+
+CLI_RULES = (
+    defines_config_error,
+    catches_type_error,
+    raises_a_mode_flag_message,
+    checks_for_a_list,
+)
+
+
+def cli_rule_sites(source: str) -> dict:
+    return {check.__name__: qualified_sites(source, check) for check in CLI_RULES}
+
+
+def test_checker_flags_cli_error_paths_outside_their_homes():
+    source = (
+        "class ConfigError(ValueError):\n"
+        "    pass\n"
+        "def _only(args, where, flag):\n"
+        "    raise ValueError(f'{flag} applies only {where}')\n"
+        "def _list(obj, key):\n"
+        "    if not isinstance(obj[key], list):\n"
+        "        raise ValueError(key)\n"
+        "def read(obj):\n"
+        "    try:\n"
+        "        return tuple(obj['x'])\n"
+        "    except (TypeError, ValueError):\n"
+        "        raise ConfigError('--x applies only without --config')\n"
+        "def grid(obj):\n"
+        "    try:\n"
+        "        return isinstance(obj, (list, tuple)) and isinstance(obj, dict)\n"
+        "    except:\n"
+        "        return False\n"
+    )
+    assert cli_rule_sites(source) == {
+        "defines_config_error": ["ConfigError"],
+        "catches_type_error": ["read", "grid"],
+        "raises_a_mode_flag_message": ["_only", "read"],
+        "checks_for_a_list": ["_list", "grid"],
+    }
+
+
+def test_cli_has_one_error_path_per_rule():
+    # every failure is a ValueError (exit 2) or a numerical failure (exit 3):
+    # no ConfigError, no TypeError caught, each input rule in one helper, and
+    # main has one except clause per exit code
+    source = (SRC / "cli.py").read_text(encoding="utf-8")
+    assert cli_rule_sites(source) == {
+        "defines_config_error": [],
+        "catches_type_error": [],
+        "raises_a_mode_flag_message": ["_only"],
+        "checks_for_a_list": ["_list"],
+    }
+    (main,) = [n for n in ast.parse(source).body if getattr(n, "name", None) == "main"]
+    assert sum(isinstance(n, ast.ExceptHandler) for n in ast.walk(main)) == 2
 
 
 def test_checker_flags_an_unread_field():
