@@ -145,18 +145,23 @@ def _parse_grid(spec: str):
     return [start + i * step for i in range(count)]
 
 
-def _parse_int_list(spec: str):
-    """Comma list with 'a..b' ranges: '2,4,6' or '2..10'."""
+def _parse_int_list(spec: str, flag: str):
+    """Comma list with 'a..b' ranges: '2,4,6' or '2..10'; errors name ``flag``."""
     out = []
-    for part in spec.split(","):
-        part = part.strip()
-        if ".." in part:
-            a, b = part.split("..")
-            out.extend(range(int(a), int(b) + 1))
-        elif part:
-            out.append(int(part))
+    try:
+        for part in spec.split(","):
+            part = part.strip()
+            if ".." in part:
+                a, b = part.split("..")
+                out.extend(range(int(a), int(b) + 1))
+            elif part:
+                out.append(int(part))
+    except ValueError:
+        raise ValueError(
+            f"{flag} wants integers and A..B ranges, comma-separated, got {spec!r}"
+        ) from None
     if not out:
-        raise ValueError(f"empty list spec {spec!r}")
+        raise ValueError(f"{flag} lists no integers, got {spec!r}")
     return out
 
 
@@ -214,11 +219,11 @@ def cmd_pairwise(args) -> None:
             p = float(p)
         except ValueError as exc:
             raise ValueError(f"bad crossover probability {p!r}") from exc
-        qs = _parse_int_list(qspec)
+        qs = _parse_int_list(qspec, "--qary QLIST")
         channels = [(f"qary({q},{p:g})", codingapps.q_ary_channel(q, p)) for q in qs]
     else:
         raise ValueError("need --config CHANNEL.json or --qary QLIST P")
-    m_list = _parse_int_list(args.m) if args.m else [2, 4, 6, 8, 10]
+    m_list = _parse_int_list(args.m, "--m") if args.m else [2, 4, 6, 8, 10]
     rows = []
     for label, ch in channels:
         row = {

@@ -29,7 +29,11 @@ _WORK_CAP = 10**10
 # which keeps dense tails' bits. On one Xeon core count vectors take 1.0 ms for
 # steps (1, -1) at n = 3000 (dense 29), and 9.8 ms for (1, 0, -1) at n = 400 (3.4)
 _DENSE_FACTOR = 32
-_SAMPLE_BLOCK = 2**14  # Monte Carlo cells (uniforms) drawn per block
+# Monte Carlo cells (uniforms) drawn per block; the size changes no hit. Each
+# block pays a fixed numpy cost: on oracle_certify's four Monte Carlo cells (one
+# core of a 2-vCPU host) 2**14 took 54 ms, 2**16 45 and 2**17 44, and drawing
+# the uniforms alone 40. The two buffers take 9 bytes a cell.
+_SAMPLE_BLOCK = 2**16
 _UNIT_ROUNDOFF = 2.0**-53
 _WILSON_Z = 1.959963984540054  # 95% normal quantile
 _FLOAT_MIN = sys.float_info.min  # smallest normal double
@@ -295,23 +299,25 @@ def _block_hits(u, values, knots, query: TailQuery, tol: float, work) -> int:
 
     A cell's step is values[searchsorted(knots, u, side="right")], the index
     rng.choice takes. Each row's count of cells at or past each knot is an
-    exact integer in float (a sum of 0s and 1s below 2**53), so the estimate
-    E = sum_i c_i v_i of its step sum is within gamma_s * n * d of the exact
-    sum, and choice's float row sum, in any order, within gamma_{n-1} * n * d
-    (Higham 2002, Accuracy and Stability of Numerical Algorithms, 4.2). tol
-    covers both: a row with E (|E| when two-sided) >= threshold + tol is a
-    hit, one below threshold - tol a miss, and any other row is summed as
-    choice sums it. work is a float buffer of u's width and at least its
-    rows. Rows are summed by einsum, not a BLAS mat-vec, as threaded BLAS
+    exact integer (a bool mask u >= knot reduced per row as bytes, into uint16
+    while n < 2**16 and int64 beyond), so the estimate E = sum_i c_i v_i of
+    its step sum, formed in float from the exact step counts c_i, is within
+    gamma_s * n * d of the exact sum, and choice's float row sum, in any
+    order, within gamma_{n-1} * n * d (Higham 2002, Accuracy and Stability of
+    Numerical Algorithms, 4.2). tol covers both: a row with E (|E| when
+    two-sided) >= threshold + tol is a hit, one below threshold - tol a miss,
+    and any other row is summed as choice sums it. work is a bool buffer of
+    u's width and at least its rows. No product goes to BLAS, as threaded BLAS
     can stall for milliseconds on a one-row block when two cores are free.
     """
     k, n = u.shape
-    past = work[:k]
-    counts = np.empty((len(knots) + 2, k))  # row j: cells at or past knot j
-    counts[0], counts[-1] = n, 0.0  # every cell is past knot 0 (0), none past 1
+    past = work[:k]  # cells at or past the current knot
+    acc = np.uint16 if n < 2**16 else np.int64  # holds every count up to n
+    counts = np.empty((len(knots) + 2, k), dtype=acc)  # row j: cells at or past knot j
+    counts[0], counts[-1] = n, 0  # every cell is past knot 0 (0), none past 1
     for j, knot in enumerate(knots.tolist(), 1):
         np.greater_equal(u, knot, out=past)
-        np.einsum("ij->i", past, out=counts[j])
+        np.add.reduce(past.view(np.uint8), axis=1, dtype=acc, out=counts[j])
     est = np.einsum("i,ij->j", values, counts[:-1] - counts[1:])
     if query.two_sided:
         np.abs(est, out=est)
@@ -335,10 +341,12 @@ def monte_carlo_tail(
     and the per-shard hit counts summed, so the result depends only on
     (law, query, trials, seed). Each shard's hit count is the one
     ``rng.choice(values, size=(count, n), p=probs).sum(axis=1)`` gives on
-    its stream: the same uniforms are drawn, a block of about
+    its stream: the same uniforms are drawn, whole rows of about
     ``_SAMPLE_BLOCK`` cells at a time, and ``_block_hits`` decides each row
     from its step counts, summing a row only where rounding could carry it
-    across the threshold. Memory is O(block), whatever the trial count.
+    across the threshold. A block holds whole rows and takes the next
+    uniforms of its shard's stream, so the block size changes no hit. Memory
+    is O(block), whatever the trial count.
     """
     trials = as_count(trials, "trials", 100)
     n, values, knots = query.n, np.array(law.values), _choice_knots(law.probs)
@@ -349,7 +357,7 @@ def monte_carlo_tail(
     shares = [trials // _N_SHARDS] * _N_SHARDS
     shares[0] += trials - sum(shares)
     rows = min(max(1, _SAMPLE_BLOCK // n), shares[0])
-    u, work = np.empty((rows, n)), np.empty((rows, n))
+    u, work = np.empty((rows, n)), np.empty((rows, n), dtype=bool)
     hits = 0
     for rng, count in zip(streams, shares):
         for start in range(0, count, rows):

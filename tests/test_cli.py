@@ -230,6 +230,31 @@ class TestPairwiseCommand:
         _, rows = parse_csv(out)
         assert len(rows) == 3
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (
+                ("--qary", "2", "0.04", "--m", "2..x"),
+                "--m wants integers and A..B ranges, comma-separated, got '2..x'",
+            ),
+            (
+                ("--qary", "2", "0.04", "--m", "2..3..4"),
+                "--m wants integers and A..B ranges, comma-separated, got '2..3..4'",
+            ),
+            (("--qary", "2", "0.04", "--m", "2..1"), "--m lists no integers, got '2..1'"),
+            (
+                ("--qary", "2..x", "0.04"),
+                "--qary QLIST wants integers and A..B ranges, comma-separated, "
+                "got '2..x'",
+            ),
+            (("--qary", ",", "0.04"), "--qary QLIST lists no integers, got ','"),
+        ],
+    )
+    def test_bad_int_list_names_its_flag(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "pairwise", *argv)
+        assert (code, out) == (2, "")
+        assert err == f"config error: {message}\n"
+
     def test_channel_config(self, capsys, tmp_path):
         cfg = tmp_path / "chan.json"
         cfg.write_text(

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tailforge import bounds, cli
+from tailforge import bounds, cli, codingapps
 from tailforge.codingapps import (
     _GRID_FACTOR,
     DmcChannel,
@@ -37,6 +37,9 @@ TABLE_CHANNELS = [q_ary_channel(q, 0.04) for q in (2, 3, 4, 5, 10)]
 BENCH_CHANNEL = (
     Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "channel.json"
 )
+
+# float.hex outputs of the oracle_certify OFDM (and Monte Carlo) cells
+ORACLE_BITS = json.loads((Path(__file__).parent / "data" / "oracle_bits.json").read_text())
 
 
 def read_json(tmp_path, reader, obj):
@@ -557,6 +560,31 @@ class TestOfdmMartingaleCheck:
         assert rep.second_moment_se == pytest.approx(
             np.std(sec) / math.sqrt(trials), rel=1e-13, abs=0
         )
+
+    @pytest.mark.parametrize("M", [2, 4, 8])
+    @pytest.mark.parametrize("n", [1, 16, 64])
+    def test_report_does_not_depend_on_the_batch_size(self, monkeypatch, n, M):
+        # batches hold whole trials and the draws run trial by trial, so the
+        # batch size moves no draw; 37 trials leave a partial last batch
+        got = []
+        for cells in (2**10, codingapps._CHUNK_CELLS, 2**16):
+            monkeypatch.setattr(codingapps, "_CHUNK_CELLS", cells)
+            got.append(ofdm_martingale_check(OfdmModel(n, M), 37, 11))
+        assert got[0] == got[1] == got[2]
+
+    def test_oracle_certify_bits_are_pinned(self):
+        rows, wrong = ORACLE_BITS["ofdm"], []
+        for row in rows:
+            rep = ofdm_martingale_check(OfdmModel(row["n"], row["M"]), row["trials"], row["seed"])
+            out = {
+                k: v.hex() if isinstance(v, float) else v if isinstance(v, int) else str(v)
+                for k, v in dataclasses.asdict(rep).items()
+            }
+            if out != row["out"]:
+                wrong.append((row["bench_seed"], row["n"], out))
+        assert wrong == []
+        # n = 16, 32 and 64 at each of 11 benchmark seeds
+        assert sorted(row["n"] for row in rows) == [16] * 11 + [32] * 11 + [64] * 11
 
     def test_memory_is_per_block_not_per_trial(self):
         def peak(trials):

@@ -10,7 +10,8 @@ LLR martingale only in its record and reads its moments only through
 no numpy call, ``bounds`` and ``specfun`` add no float with the builtin
 ``sum``, and ``cli`` reports errors through ``ValueError`` alone, with one
 home each for the mode-flag rule (``_only``) and the JSON-list rule
-(``_list``)."""
+(``_list``), and the Monte Carlo and OFDM sampling kernels hand no product
+to BLAS."""
 
 import ast
 import fnmatch
@@ -644,3 +645,39 @@ def test_tilted_kernel_runs_on_plain_floats():
         n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_tilted"
     ]
     assert numpy_uses(kernel) == []
+
+
+# numpy hands these to BLAS, whose threads stalled for milliseconds on
+# one-row Monte Carlo blocks while two cores were free
+BLAS_NAMES = ("dot", "vdot", "inner", "matmul", "tensordot")
+
+
+def blas_uses(node: ast.AST) -> list[str]:
+    """Each ``@`` and each ``<x>.<name>`` with a name in BLAS_NAMES under ``node``."""
+    return sorted(
+        ast.unparse(n)
+        for n in ast.walk(node)
+        if isinstance(n, ast.BinOp)
+        and isinstance(n.op, ast.MatMult)
+        or isinstance(n, ast.Attribute)
+        and n.attr in BLAS_NAMES
+    )
+
+
+def test_checker_flags_blas_uses():
+    source = (
+        "def f(a, b):\n"
+        "    c = np.dot(a, b) + a @ b + a.dot(b) + np.matmul(a, b)\n"
+        "    return np.einsum('ij,j->i', a, b), np.multiply(a, b)\n"
+    )
+    assert blas_uses(ast.parse(source)) == ["a @ b", "a.dot", "np.dot", "np.matmul"]
+
+
+@pytest.mark.parametrize(
+    "module,kernel",
+    [("validate.py", "_block_hits"), ("codingapps.py", "_crest_factors")],
+)
+def test_sampling_kernels_keep_blas_out(module, kernel):
+    tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
+    (node,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == kernel]
+    assert blas_uses(node) == []

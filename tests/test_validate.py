@@ -1,9 +1,12 @@
 """Exact-tail oracles, sandwich checks, Monte Carlo and their cross-validation."""
 
+import dataclasses
 import itertools
+import json
 import math
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -545,6 +548,9 @@ ORACLE_MC_CELLS = {
     "bernoulli": (IncrementLaw((0.7, -0.3), (0.3, 0.7)), 1000, 10000),
 }
 
+# float.hex outputs of the oracle_certify Monte Carlo (and OFDM) cells
+ORACLE_BITS = json.loads((Path(__file__).parent / "data" / "oracle_bits.json").read_text())
+
 
 @st.composite
 def _sampler_laws(draw):
@@ -618,7 +624,7 @@ class TestSampleSums:
         u = np.concatenate([np.nextafter(u, 0.0), u, np.nextafter(u, 1.0)])
         values = np.array(law.values)
         steps = values[np.searchsorted(knots, u, side="right")]
-        block, buf = u.reshape(-1, 1), np.empty((u.size, 1))
+        block, buf = u.reshape(-1, 1), np.empty((u.size, 1), dtype=bool)
         kernel_knots = validate._choice_knots(law.probs)
         # tol 0 decides every row by its counts, 0.75 sends rows within 0.75
         # of the threshold to the exact sum
@@ -647,6 +653,41 @@ class TestSampleSums:
                 q = TailQuery(n, thr, two_sided)
                 got = monte_carlo_tail(law, q, trials, seed=5)
                 assert got.estimate == _choice_estimate(sums, q)
+
+    @pytest.mark.parametrize(
+        "law,n,trials",
+        [
+            *ORACLE_MC_CELLS.values(),
+            # 16 shards of 140000 one-cell rows (3 more in the first): every
+            # block size below leaves each shard a partial last block
+            (two_point_increment(1.0, 0.01), 1, validate._N_SHARDS * 140_000 + 3),
+        ],
+        ids=[*ORACLE_MC_CELLS, "partial_last_block"],
+    )
+    def test_hits_do_not_depend_on_the_block_size(self, monkeypatch, law, n, trials):
+        # a block holds whole rows and draws the next uniforms of its shard's
+        # stream, so its size moves no uniform into another row
+        sd = math.sqrt(n * law.variance)
+        queries = (TailQuery(n, 1.25 * sd), TailQuery(n, 0.5 * sd, two_sided=True))
+        got = []
+        for block in (2**10, 2**14, validate._SAMPLE_BLOCK):
+            monkeypatch.setattr(validate, "_SAMPLE_BLOCK", block)
+            got.append([monte_carlo_tail(law, q, trials, seed=3) for q in queries])
+        assert got[0] == got[1] == got[2]
+
+    def test_oracle_certify_bits_are_pinned(self):
+        rows, wrong = ORACLE_BITS["mc"], []
+        for row in rows:
+            law = IncrementLaw(*(tuple(map(float.fromhex, row[k])) for k in ("values", "probs")))
+            q = TailQuery(row["n"], float.fromhex(row["threshold"]), row["two_sided"])
+            got = monte_carlo_tail(law, q, row["trials"], row["seed"])
+            out = {k: v.hex() if isinstance(v, float) else v
+                   for k, v in dataclasses.asdict(got).items()}
+            if out != row["out"]:
+                wrong.append((row["bench_seed"], row["seed"], out))
+        assert wrong == []
+        # four cells at each of 11 benchmark seeds
+        assert len(rows) == 4 * 11
 
     @pytest.mark.parametrize("n", [10, 19, 100])
     def test_rows_straddling_the_threshold(self, n):
@@ -706,8 +747,10 @@ class TestSampleSums:
         assert peak < 8e6
 
     def test_memory_does_not_grow_with_trials(self):
+        # the first run fills one block per shard, the second has 16x its trials
+        first = validate._N_SHARDS * (validate._SAMPLE_BLOCK // 10)
         peaks = []
-        for trials in (16_000, 1_600_000):
+        for trials in (first, 16 * first):
             tracemalloc.start()
             try:
                 monte_carlo_tail(PM_ONE, TailQuery(10, 2.0), trials, seed=0)
